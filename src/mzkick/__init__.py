@@ -9,20 +9,13 @@ net momentum, while the rare dark-port photons pull the mirror inward by their
 radiation-pressure result exactly.
 """
 
-from .classical_optics import (
-    ClassicalBeam,
-    classical_mirror_momentum,
-    interferometer_intensities,
-    plain_mirror_kick,
-)
+from .classical_optics import classical_mirror_momentum
 from .ensemble import (
     KickReport,
     RunRecord,
     expected_kick_report,
     fluctuation_analysis,
-    plain_mirror_quantum_kick,
     sample_runs,
-    write_records_csv,
 )
 from .errors import (
     ConfigError,
@@ -39,8 +32,6 @@ from .photon_modes import (
     CHANNELS,
     BeamsplitterSpec,
     ModeAmplitudes,
-    arm_probabilities,
-    detection_probability,
     detector_state,
     inner_product,
     intra_state,
@@ -52,26 +43,18 @@ from .pointer import (
     gaussian_pointer,
     mean_momentum,
     overlap,
-    read_pointer_csv,
     shift,
-    write_pointer_csv,
 )
 from .weak_measurement import (
-    REGIME_COHERENT_DETECTABLE,
-    REGIME_COHERENT_UNDETECTABLE,
-    REGIME_DECOHERENT,
     JointState,
     OpticalSetup,
     PostselectionResult,
-    coherence_visibility,
     couple_reflection,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
     net_kick_d2,
     postselect,
-    postselection_to_json,
-    regime_classify,
     weak_value_PB,
 )
 
@@ -82,7 +65,6 @@ __all__ = [
     "CHANNELS",
     "CHANNEL_D1",
     "CHANNEL_D2",
-    "ClassicalBeam",
     "ConfigError",
     "ConstraintViolationError",
     "DegenerateSampleError",
@@ -96,39 +78,25 @@ __all__ = [
     "OpticalSetup",
     "PointerState",
     "PostselectionResult",
-    "REGIME_COHERENT_DETECTABLE",
-    "REGIME_COHERENT_UNDETECTABLE",
-    "REGIME_DECOHERENT",
     "RunRecord",
     "ZeroOverlapError",
-    "arm_probabilities",
     "classical_mirror_momentum",
-    "coherence_visibility",
     "couple_reflection",
     "couple_with_kick",
     "default_grid",
-    "detection_probability",
     "detector_state",
     "expected_kick_report",
     "first_order_joint",
     "fluctuation_analysis",
     "gaussian_pointer",
     "inner_product",
-    "interferometer_intensities",
     "intra_state",
     "mean_momentum",
     "net_kick_d1",
     "net_kick_d2",
     "overlap",
-    "plain_mirror_kick",
-    "plain_mirror_quantum_kick",
     "postselect",
-    "postselection_to_json",
-    "read_pointer_csv",
-    "regime_classify",
     "sample_runs",
     "shift",
     "weak_value_PB",
-    "write_pointer_csv",
-    "write_records_csv",
 ]

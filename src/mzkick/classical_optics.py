@@ -1,4 +1,4 @@
-"""Classical wave-optics oracle: intensity bookkeeping and mirror momentum.
+"""Classical wave-optics oracle: mirror momentum from beam intensities.
 
 Beams carry unit cross-section and the experiment lasts unit time (c = 1), so
 intensities double as momentum fluxes. Serves as the independent reference the
@@ -8,47 +8,9 @@ quantum ensemble totals are compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConstraintViolationError
 from .photon_modes import BeamsplitterSpec
-
-
-@dataclass(frozen=True)
-class ClassicalBeam:
-    """Monochromatic beam of given intensity hitting a surface at a given angle."""
-
-    intensity: float
-    incidence_angle: float
-
-    def __post_init__(self) -> None:
-        if self.intensity < 0.0:
-            raise ConstraintViolationError(f"intensity must be non-negative, got {self.intensity}")
-        if not 0.0 <= self.incidence_angle < math.pi / 2.0:
-            raise ConstraintViolationError(
-                f"incidence angle must lie in [0, pi/2), got {self.incidence_angle}"
-            )
-
-
-def plain_mirror_kick(beam: ClassicalBeam) -> float:
-    """Momentum per unit time delivered to a free-standing mirror: 2*I*cos(angle)."""
-    return 2.0 * beam.intensity * math.cos(beam.incidence_angle)
-
-
-def interferometer_intensities(
-    intensity: float, bs: BeamsplitterSpec
-) -> tuple[float, float, float, float]:
-    """Intensities (I_A, I_B, I_D1, I_D2) for input intensity I.
-
-    Arm intensities are r^2*I and t^2*I; output intensities 4*r^2*t^2*I and
-    (1 - 4*r^2*t^2)*I. Energy is conserved at each beamsplitter.
-    """
-    if intensity < 0.0:
-        raise ConstraintViolationError(f"intensity must be non-negative, got {intensity}")
-    r2 = bs.r * bs.r
-    t2 = bs.t * bs.t
-    i_d1 = 4.0 * r2 * t2 * intensity
-    return (r2 * intensity, t2 * intensity, i_d1, (1.0 - 4.0 * r2 * t2) * intensity)
 
 
 def classical_mirror_momentum(intensity: float, bs: BeamsplitterSpec, alpha: float) -> float:

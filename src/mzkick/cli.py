@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical_optics import classical_mirror_momentum
-from .ensemble import (
-    expected_kick_report,
-    fluctuation_analysis,
-    sample_runs,
-    write_records_csv,
-)
+from .ensemble import expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, BeamsplitterSpec, detector_state, intra_state
 from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
@@ -34,7 +28,6 @@ from .weak_measurement import (
     net_kick_d1,
     net_kick_d2,
     postselect,
-    postselection_to_json,
     weak_value_PB,
 )
 
@@ -62,7 +55,11 @@ class ScenarioConfig:
     trials: int = 1000
 
     def validate(self) -> None:
-        problems = []
+        problems = [
+            f"{name}: must be finite (got {getattr(self, name)})"
+            for name, kind in FIELD_TYPES.items()
+            if kind is float and not math.isfinite(getattr(self, name))
+        ]
         if not 0.0 < self.r_squared < 1.0:
             problems.append(f"r_squared: must lie strictly between 0 and 1 (got {self.r_squared})")
         if self.omega <= 0.0:
@@ -104,6 +101,11 @@ class ScenarioConfig:
         return default_grid(self.delta_spread, max_shift, self.grid_points)
 
 
+# Scenario field -> int or float: the one source for the CLI flags, the
+# config-file parsing and the finiteness check.
+FIELD_TYPES = {f.name: int if f.type in ("int", int) else float for f in fields(ScenarioConfig)}
+
+
 def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
     """Merge defaults, an optional JSON config file, and CLI flag overrides."""
     values: dict = {}
@@ -116,20 +118,18 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
             raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config: {path} must contain a JSON object")
-        known = {f.name for f in fields(ScenarioConfig)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(FIELD_TYPES))
         if unknown:
-            raise ConfigError(f"config: unknown keys {unknown}; expected a subset of {sorted(known)}")
+            raise ConfigError(f"config: unknown keys {unknown}; expected a subset of {sorted(FIELD_TYPES)}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    field_types = {f.name: f.type for f in fields(ScenarioConfig)}
     for key, value in values.items():
-        want_int = field_types[key] in ("int", int)
+        kind = FIELD_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: must be a number (got {value!r})")
-        if want_int and not float(value).is_integer():
+        if kind is int and not float(value).is_integer():
             raise ConfigError(f"{key}: must be an integer (got {value!r})")
-        values[key] = int(value) if want_int else float(value)
+        values[key] = kind(value)
     cfg = ScenarioConfig(**values)
     cfg.validate()
     return cfg
@@ -166,15 +166,22 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
     res1 = postselect(joint, phi1)
     res2 = postselect(joint, phi2)
 
-    ch1 = postselection_to_json(CHANNEL_D1, res1, wv1)
-    ch1["net_kick"] = kick1
-    ch2 = postselection_to_json(CHANNEL_D2, res2, wv2)
-    ch2["net_kick"] = kick2
+    channels = [
+        {
+            "channel": channel,
+            "probability": res.probability,
+            "mean_kick": res.mean_kick,
+            "weak_value_re": wv.real,
+            "weak_value_im": wv.imag,
+            "net_kick": kick,
+        }
+        for channel, res, wv, kick in ((CHANNEL_D1, res1, wv1, kick1), (CHANNEL_D2, res2, wv2, kick2))
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "setup": _setup_summary(cfg, setup),
-        "channels": [ch1, ch2],
+        "channels": channels,
         "weak_value_d1": wv1.real,
         "weak_value_d2": wv2.real,
         "net_kick_d1": kick1,
@@ -189,10 +196,9 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, list]:
     report = expected_kick_report(setup)
     momenta = np.array([rec.mirror_momentum for rec in records])
     sample_mean = float(momenta.mean())
+    standard_error = None  # undefined for a single trial
     if cfg.trials > 1:
         standard_error = float(momenta.std(ddof=1)) / math.sqrt(cfg.trials)
-    else:
-        standard_error = float("nan")
 
     def _corr(**kwargs):
         try:
@@ -260,9 +266,7 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
     """Side-by-side quantum ensemble total and classical wave-optics momentum."""
     setup = cfg.to_setup()
     report = expected_kick_report(setup)
-    classical = classical_mirror_momentum(
-        setup.nbar * setup.hbar * setup.omega, setup.bs, setup.alpha
-    )
+    classical = report.classical_reference  # zero only when nbar = 0
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -271,20 +275,29 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
         "quantum_d1_total": report.d1_total,
         "quantum_d2_total": report.d2_total,
         "classical_total": classical,
-        "ratio": report.grand_total / classical,
+        "ratio": report.grand_total / classical if classical != 0.0 else None,
     }
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(_dumps(payload) + "\n")
 
 
-def _write_rows_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(row[key]) if isinstance(row[key], float) else row[key] for key in header])
+def _write_table(path: Path, fmt: str, key: str, header: list[str], rows) -> None:
+    """Write rows (sequences in header order) to path.csv, or to path.json as
+    objects under key; CSV rows are streamed, and floats print at repr precision."""
+    if fmt == "csv":
+        with open(path.with_suffix(".csv"), "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        records = [dict(zip(header, row)) for row in rows]
+        _write_json(path.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, key: records})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,15 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", dest="fmt",
         help="format for tabular outputs",
     )
-    common.add_argument("--r-squared", type=float, default=None, dest="r_squared")
-    common.add_argument("--omega", type=float, default=None)
-    common.add_argument("--alpha-degrees", type=float, default=None, dest="alpha_degrees")
-    common.add_argument("--nbar", type=float, default=None)
-    common.add_argument("--delta-spread", type=float, default=None, dest="delta_spread")
-    common.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-    common.add_argument("--grid-halfwidth", type=float, default=None, dest="grid_halfwidth")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
+    for name, kind in FIELD_TYPES.items():
+        common.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
 
     parser = argparse.ArgumentParser(
         prog="mzkick",
@@ -334,16 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = (
-    "r_squared", "omega", "alpha_degrees", "nbar", "delta_spread",
-    "grid_points", "grid_halfwidth", "seed", "trials",
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS}
+        overrides = {name: getattr(args, name) for name in FIELD_TYPES}
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
@@ -355,43 +355,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "single-photon":
             report = run_single_photon(cfg)
             _write_json(out_dir / "single_photon.json", report)
-            print(json.dumps(report, indent=2))
         elif args.command == "ensemble":
-            summary, records = run_ensemble(cfg)
-            if args.fmt == "csv":
-                write_records_csv(records, out_dir / "ensemble_records.csv")
-            else:
-                rows = [
-                    {
-                        "trial": i,
-                        "N": rec.total_photons,
-                        "n1": rec.d1_count,
-                        "n2": rec.d2_count,
-                        "momentum": rec.mirror_momentum,
-                    }
-                    for i, rec in enumerate(records)
-                ]
-                _write_json(
-                    out_dir / "ensemble_records.json",
-                    {"schema_version": SCHEMA_VERSION, "records": rows},
-                )
-            _write_json(out_dir / "ensemble_summary.json", summary)
-            print(json.dumps(summary, indent=2))
+            report, records = run_ensemble(cfg)
+            rows = (
+                (i, rec.total_photons, rec.d1_count, rec.d2_count, rec.mirror_momentum)
+                for i, rec in enumerate(records)
+            )
+            header = ["trial", "N", "n1", "n2", "momentum"]
+            _write_table(out_dir / "ensemble_records", args.fmt, "records", header, rows)
+            _write_json(out_dir / "ensemble_summary.json", report)
         elif args.command == "decoherence":
-            rows = run_decoherence_scan(cfg, list(args.ratios))
-            header = ["delta_over_spread", "visibility", "p_d1", "p_d2", "d2_mean_kick", "d2_weak_kick"]
-            if args.fmt == "csv":
-                _write_rows_csv(out_dir / "decoherence_scan.csv", header, rows)
-            else:
-                _write_json(
-                    out_dir / "decoherence_scan.json",
-                    {"schema_version": SCHEMA_VERSION, "rows": rows},
-                )
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, indent=2))
+            scan = run_decoherence_scan(cfg, list(args.ratios))
+            rows = (tuple(row.values()) for row in scan)
+            _write_table(out_dir / "decoherence_scan", args.fmt, "rows", list(scan[0]), rows)
+            report = {"schema_version": SCHEMA_VERSION, "rows": scan}
         elif args.command == "compare-classical":
             report = run_compare_classical(cfg)
             _write_json(out_dir / "compare_classical.json", report)
-            print(json.dumps(report, indent=2))
+        print(_dumps(report))
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return EXIT_CONFIG

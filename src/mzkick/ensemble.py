@@ -9,10 +9,8 @@ kick, so run-level mirror momentum attaches entirely to the D2 count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,13 +45,6 @@ class KickReport:
     d2_total: float
     grand_total: float
     classical_reference: float
-
-
-def plain_mirror_quantum_kick(setup: OpticalSetup) -> float:
-    """Mean momentum from nbar photons bouncing off a free-standing mirror:
-    2*nbar*hbar*omega*cos(alpha), the photon-counting version of the classical
-    2*I*cos(alpha) at I = nbar*hbar*omega."""
-    return setup.nbar * setup.delta_kick
 
 
 def expected_kick_report(setup: OpticalSetup) -> KickReport:
@@ -158,14 +149,3 @@ def fluctuation_analysis(
             "no within-total variance in the sample; conditional correlation undefined"
         )
     return sxy / math.sqrt(sxx * syy)
-
-
-def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
-    """Write run records as CSV with columns trial, N, n1, n2, momentum."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["trial", "N", "n1", "n2", "momentum"])
-        for i, rec in enumerate(records):
-            writer.writerow(
-                [i, rec.total_photons, rec.d1_count, rec.d2_count, repr(rec.mirror_momentum)]
-            )

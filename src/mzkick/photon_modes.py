@@ -87,15 +87,3 @@ def detector_state(bs: BeamsplitterSpec, channel: str) -> ModeAmplitudes:
 def inner_product(x: ModeAmplitudes, y: ModeAmplitudes) -> complex:
     """<x|y> = conj(x.a)*y.a + conj(x.b)*y.b."""
     return x.a.conjugate() * y.a + x.b.conjugate() * y.b
-
-
-def detection_probability(psi: ModeAmplitudes, channel_state: ModeAmplitudes) -> float:
-    """Probability |<channel|psi>|^2 of the photon emerging in the given channel."""
-    psi.require_normalized()
-    channel_state.require_normalized()
-    return abs(inner_product(channel_state, psi)) ** 2
-
-
-def arm_probabilities(psi: ModeAmplitudes) -> tuple[float, float]:
-    """Probabilities (|a|^2, |b|^2) of finding the photon in arm A and arm B."""
-    return abs(psi.a) ** 2, abs(psi.b) ** 2

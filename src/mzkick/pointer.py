@@ -8,18 +8,15 @@ spectrally accurate once the tails are dead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConstraintViolationError, GridCoverageError, GridMismatchError
 
-# Producer-side norm guarantee and the tail-capture requirement.
-NORM_TOL = 1e-10
+# Tail-capture requirement: edge density relative to the peak.
 TAIL_DENSITY_RATIO = 1e-12
 DEFAULT_GRID_POINTS = 4096
 
@@ -66,15 +63,10 @@ def default_grid(
 
 @dataclass(frozen=True)
 class PointerState:
-    """Complex wavefunction samples phi(p_k) on a momentum grid.
-
-    sigma_hint is advisory metadata (the Gaussian spread used to build the
-    state, when known); the physics always reads the sampled amplitudes.
-    """
+    """Complex wavefunction samples phi(p_k) on a momentum grid."""
 
     grid: MomentumGrid
     amplitudes: np.ndarray
-    sigma_hint: float | None = None
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
@@ -100,9 +92,6 @@ class PointerState:
     def norm_squared(self) -> float:
         return float(np.trapezoid(self.density(), self.grid.points))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
-
     def require_normalized(self, tol: float = 1e-8) -> None:
         nsq = self.norm_squared()
         if abs(nsq - 1.0) > tol:
@@ -122,7 +111,7 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
     p = grid.points
     amp = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread)).astype(np.complex128)
     amp /= math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, p)))
-    return PointerState(grid, amp, sigma_hint=delta_spread)
+    return PointerState(grid, amp)
 
 
 def shift(state: PointerState, delta_kick: float) -> PointerState:
@@ -152,7 +141,7 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
         )
     freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
     moved = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * delta_kick))
-    return PointerState(grid, moved, sigma_hint=state.sigma_hint)
+    return PointerState(grid, moved)
 
 
 def mean_momentum(state: PointerState) -> float:
@@ -168,26 +157,3 @@ def overlap(s1: PointerState, s2: PointerState) -> complex:
         raise GridMismatchError(f"grids differ: {s1.grid} vs {s2.grid}")
     p = s1.grid.points
     return complex(np.trapezoid(np.conj(s1.amplitudes) * s2.amplitudes, p))
-
-
-def write_pointer_csv(state: PointerState, path: str | Path) -> None:
-    """Write samples as CSV with columns p, re_amplitude, im_amplitude."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["p", "re_amplitude", "im_amplitude"])
-        for p, a in zip(state.grid.points, state.amplitudes):
-            writer.writerow([repr(float(p)), repr(float(a.real)), repr(float(a.imag))])
-
-
-def read_pointer_csv(path: str | Path, sigma_hint: float | None = None) -> PointerState:
-    """Reconstruct a pointer state written by write_pointer_csv."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["p", "re_amplitude", "im_amplitude"]:
-            raise ConstraintViolationError(f"unexpected pointer CSV header: {header}")
-        rows = [(float(p), float(re), float(im)) for p, re, im in reader]
-    p = np.array([row[0] for row in rows])
-    amp = np.array([complex(re, im) for _, re, im in rows])
-    grid = MomentumGrid(float(p[0]), float(p[-1]), len(p))
-    return PointerState(grid, amp, sigma_hint=sigma_hint)

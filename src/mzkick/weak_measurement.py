@@ -13,28 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import (
-    MomentumGrid,
-    PointerState,
-    default_grid,
-    gaussian_pointer,
-    mean_momentum,
-    overlap,
-    shift,
-)
+from .pointer import MomentumGrid, PointerState, mean_momentum, shift
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
 ZERO_OVERLAP_TOL = 1e-14
-
-REGIME_DECOHERENT = "decoherent"
-REGIME_COHERENT_DETECTABLE = "coherent_detectable"
-REGIME_COHERENT_UNDETECTABLE = "coherent_undetectable"
 
 
 @dataclass(frozen=True)
@@ -79,28 +68,12 @@ class OpticalSetup:
         return 2.0 * self.hbar * self.omega * math.cos(self.alpha)
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(NamedTuple):
     """Entangled photon-mirror state: one pointer-valued component per arm."""
 
     grid: MomentumGrid
     comp_a: np.ndarray
     comp_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("comp_a", "comp_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128).copy()
-            if arr.shape != (self.grid.n,):
-                raise ConstraintViolationError(
-                    f"{name} shape {arr.shape} does not match grid with n={self.grid.n}"
-                )
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def total_norm_squared(self) -> float:
-        p = self.grid.points
-        dens = np.abs(self.comp_a) ** 2 + np.abs(self.comp_b) ** 2
-        return float(np.trapezoid(dens, p))
 
 
 @dataclass(frozen=True)
@@ -212,52 +185,3 @@ def net_kick_d2(setup: OpticalSetup) -> float:
             "r = t leaves zero post-selection overlap for the D2 channel (forbidden outcome)"
         )
     return -(bs.t * bs.t / denom) * setup.delta_kick
-
-
-def coherence_visibility(setup: OpticalSetup, delta_spread: float) -> float:
-    """|<phi(p)|phi(p - delta)>| for a Gaussian pointer of the given spread.
-
-    1 means the mirror records no which-path information; 0 means full
-    decoherence of the photon by the mirror.
-    """
-    grid = default_grid(delta_spread, setup.delta_kick)
-    g = gaussian_pointer(grid, delta_spread)
-    return abs(overlap(g, shift(g, setup.delta_kick)))
-
-
-def regime_classify(
-    setup: OpticalSetup,
-    delta_spread: float,
-    decoherence_factor: float = 3.0,
-    detectability_factor: float = 3.0,
-) -> str:
-    """Classify the operating regime of the mirror as a measuring device.
-
-    Coherence of an nbar-photon beam needs the pointer spread to exceed
-    sqrt(nbar) individual kicks by a comfortable factor; the accumulated mean
-    kick nbar*delta is detectable only if it exceeds the spread by a similar
-    factor. Both factors default to 3 and are overridable.
-    """
-    if setup.nbar <= 0.0:
-        raise ConstraintViolationError("regime classification requires nbar > 0")
-    if delta_spread <= 0.0:
-        raise ConstraintViolationError(f"delta_spread must be positive, got {delta_spread}")
-    delta = setup.delta_kick
-    if delta_spread < decoherence_factor * math.sqrt(setup.nbar) * delta:
-        return REGIME_DECOHERENT
-    if setup.nbar * delta > detectability_factor * delta_spread:
-        return REGIME_COHERENT_DETECTABLE
-    return REGIME_COHERENT_UNDETECTABLE
-
-
-def postselection_to_json(
-    channel: str, result: PostselectionResult, weak_value: complex
-) -> dict:
-    """JSON-ready summary of a post-selection outcome."""
-    return {
-        "channel": channel,
-        "probability": result.probability,
-        "mean_kick": result.mean_kick,
-        "weak_value_re": weak_value.real,
-        "weak_value_im": weak_value.imag,
-    }

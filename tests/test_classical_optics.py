@@ -1,61 +1,13 @@
-"""Classical wave-optics intensities and mirror momentum."""
+"""Classical wave-optics mirror momentum."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mzkick.classical_optics import (
-    ClassicalBeam,
-    classical_mirror_momentum,
-    interferometer_intensities,
-    plain_mirror_kick,
-)
+from mzkick.classical_optics import classical_mirror_momentum
 from mzkick.errors import ConstraintViolationError
 from mzkick.photon_modes import BeamsplitterSpec
-
-
-class TestPlainMirrorKick:
-    def test_oblique_incidence(self):
-        beam = ClassicalBeam(intensity=100.0, incidence_angle=math.radians(60.0))
-        assert plain_mirror_kick(beam) == pytest.approx(100.0, abs=1e-12)
-
-    def test_dark_beam(self):
-        assert plain_mirror_kick(ClassicalBeam(0.0, 0.3)) == 0.0
-
-    def test_grazing_incidence_limit(self):
-        beam = ClassicalBeam(100.0, math.radians(89.999))
-        assert plain_mirror_kick(beam) == pytest.approx(0.0, abs=1e-2)
-
-    def test_rejects_negative_intensity(self):
-        with pytest.raises(ConstraintViolationError):
-            ClassicalBeam(-1.0, 0.3)
-
-    def test_rejects_bad_angle(self):
-        with pytest.raises(ConstraintViolationError):
-            ClassicalBeam(1.0, math.pi / 2.0)
-
-
-class TestInterferometerIntensities:
-    def test_unbalanced_split(self):
-        bs = BeamsplitterSpec.from_r_squared(0.75)
-        i_a, i_b, i_d1, i_d2 = interferometer_intensities(100.0, bs)
-        assert i_a == pytest.approx(75.0, abs=1e-12)
-        assert i_b == pytest.approx(25.0, abs=1e-12)
-        assert i_d1 == pytest.approx(75.0, abs=1e-12)
-        assert i_d2 == pytest.approx(25.0, abs=1e-12)
-
-    def test_balanced_dark_port(self):
-        bs = BeamsplitterSpec.from_r_squared(0.5)
-        assert interferometer_intensities(100.0, bs)[3] == pytest.approx(0.0, abs=1e-12)
-
-    @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.01, max_value=0.99))
-    def test_energy_conservation(self, intensity, r_squared):
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
-        i_a, i_b, i_d1, i_d2 = interferometer_intensities(intensity, bs)
-        scale = max(intensity, 1.0)
-        assert abs(i_a + i_b - intensity) < 1e-12 * scale
-        assert abs(i_d1 + i_d2 - intensity) < 1e-12 * scale
 
 
 class TestClassicalMirrorMomentum:

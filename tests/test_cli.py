@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mzkick
 from mzkick.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -20,9 +23,18 @@ from mzkick.cli import (
 from mzkick.errors import ConfigError
 
 
+def strict_loads(text):
+    """Parse JSON, rejecting the non-standard NaN/Infinity constants."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def read_json(path):
     with open(path) as f:
-        return json.load(f)
+        return strict_loads(f.read())
 
 
 class TestConfigLoading:
@@ -84,7 +96,24 @@ class TestSinglePhoton:
     def test_validation_failure_exits_two(self, tmp_path, capsys):
         code = main(["single-photon", "--r-squared", "1.5", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
-        assert "r_squared" in capsys.readouterr().err
+        assert "r_squared:" in capsys.readouterr().err
+        assert not (tmp_path / "single_photon.json").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("omega", "nan"),
+            ("nbar", "inf"),
+            ("delta_spread", "nan"),
+            ("grid_halfwidth", "inf"),
+        ],
+    )
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, field, value):
+        flag = "--" + field.replace("_", "-")
+        code = main(["single-photon", f"{flag}={value}", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "single_photon.json").exists()
 
 
 class TestEnsemble:
@@ -133,6 +162,13 @@ class TestEnsemble:
 
     def test_zero_trials_is_config_error(self, tmp_path, capsys):
         assert main(["ensemble", "--trials", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_single_trial_writes_null_statistics(self, tmp_path, capsys):
+        assert main(["ensemble", "--trials", "1", "--out", str(tmp_path)]) == EXIT_OK
+        summary = read_json(tmp_path / "ensemble_summary.json")
+        assert summary["standard_error"] is None
+        assert summary["correlation_unconditional"] is None
+        assert strict_loads(capsys.readouterr().out) == summary
 
 
 class TestDecoherence:
@@ -189,13 +225,31 @@ class TestCompareClassical:
         report = read_json(tmp_path / "compare_classical.json")
         assert report["ratio"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_no_photons_gives_null_ratio(self, tmp_path, capsys):
+        assert main(["compare-classical", "--nbar", "0", "--out", str(tmp_path)]) == EXIT_OK
+        report = read_json(tmp_path / "compare_classical.json")
+        assert report["classical_total"] == 0.0
+        assert report["ratio"] is None
+        assert strict_loads(capsys.readouterr().out) == report
+
+    def test_infinite_nbar_is_config_error(self, tmp_path, capsys):
+        code = main(["compare-classical", "--nbar", "inf", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "nbar:" in capsys.readouterr().err
+        assert not (tmp_path / "compare_classical.json").exists()
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
+        # the child imports the same mzkick as this process, installed or not
+        src = str(Path(mzkick.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "mzkick", "compare-classical", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["ratio"] == pytest.approx(1.0, abs=1e-12)

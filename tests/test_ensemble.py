@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mzkick.classical_optics import ClassicalBeam, plain_mirror_kick
+from mzkick.cli import main
 from mzkick.ensemble import (
     RunRecord,
     expected_kick_report,
     fluctuation_analysis,
-    plain_mirror_quantum_kick,
     sample_runs,
-    write_records_csv,
 )
 from mzkick.errors import ConstraintViolationError, DegenerateSampleError, ZeroOverlapError
 from mzkick.photon_modes import BeamsplitterSpec
@@ -40,21 +38,6 @@ class TestRunRecord:
             RunRecord(10, 4, 5, 0.0)
         with pytest.raises(ConstraintViolationError):
             RunRecord(10, -1, 11, 0.0)
-
-
-class TestPlainMirrorQuantumKick:
-    def test_headline_value(self):
-        assert plain_mirror_quantum_kick(make_setup()) == pytest.approx(100.0, abs=1e-12)
-
-    def test_vacuum(self):
-        assert plain_mirror_quantum_kick(make_setup(nbar=0.0)) == 0.0
-
-    def test_agrees_with_classical_at_matching_intensity(self):
-        setup = make_setup(nbar=137.0, alpha=math.radians(42.0))
-        classical = plain_mirror_kick(
-            ClassicalBeam(setup.nbar * setup.hbar * setup.omega, setup.alpha)
-        )
-        assert plain_mirror_quantum_kick(setup) == pytest.approx(classical, abs=1e-12)
 
 
 class TestExpectedKickReport:
@@ -152,11 +135,11 @@ class TestFluctuationAnalysis:
 
 
 class TestRecordsCsv:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, capsys):
         records = sample_runs(make_setup(nbar=500.0), 50, seed=4)
-        target = tmp_path / "records.csv"
-        write_records_csv(records, target)
-        lines = target.read_text().splitlines()
+        argv = ["ensemble", "--nbar", "500", "--trials", "50", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = (tmp_path / "ensemble_records.csv").read_text().splitlines()
         assert lines[0] == "trial,N,n1,n2,momentum"
         assert len(lines) == 51
         for i, line in enumerate(lines[1:]):

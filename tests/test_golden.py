@@ -1,0 +1,123 @@
+"""Golden SHA-256 digests of every CLI output file and of stdout.
+
+Each case runs `mzkick.cli.main` in-process at a fixed config and seed and
+hashes every file written to `--out` plus the captured stdout, so any change
+to a single byte of any report fails here. The digests were captured with
+numpy 2.4.6; FFT and RNG output may differ in the last bits under another
+numpy, which is why a mismatch names the numpy version.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from mzkick.cli import EXIT_OK, main
+
+CONFIGS = {
+    "defaults": [],
+    "reflective": [
+        "--r-squared", "0.9", "--alpha-degrees", "30", "--nbar", "400", "--seed", "11",
+        "--trials", "300", "--delta-spread", "5", "--grid-points", "8192",
+    ],
+    "json": [
+        "--r-squared", "0.6", "--omega", "2.5", "--nbar", "1234.5", "--seed", "3",
+        "--trials", "2000", "--format", "json", "--grid-halfwidth", "120",
+    ],
+}
+
+COMMANDS = {
+    "single-photon": ["single-photon"],
+    "ensemble": ["ensemble"],
+    "decoherence": ["decoherence"],
+    "decoherence-ratios": ["decoherence", "--ratios", "0", "0.3", "2.5"],
+    "compare-classical": ["compare-classical"],
+}
+
+DIGESTS = {
+    ("defaults", "compare-classical"): {
+        "<stdout>": "0c1762523dfc29c859152d89b9ed482a0e50cf7fbb0b937f29a9353be70e1c77",
+        "compare_classical.json": "0c1762523dfc29c859152d89b9ed482a0e50cf7fbb0b937f29a9353be70e1c77",
+    },
+    ("defaults", "decoherence"): {
+        "<stdout>": "33e4a8b927b45ab720cbc9fab25f73d486bbd034aeecfd680af38d3586d3ee96",
+        "decoherence_scan.csv": "c3e364fc5b93f7048616f7d76cac11fc76d58fca7010e2ce967bc9bbadaeb031",
+    },
+    ("defaults", "decoherence-ratios"): {
+        "<stdout>": "d61d7660f6fe814c15a8e9ecc5c1ee632b389c251383becda616f347817a4961",
+        "decoherence_scan.csv": "7bfba93f18d3f8c8cf1ad7f78a7d20f0dcb17906bb0a942b161566c8b4684de8",
+    },
+    ("defaults", "ensemble"): {
+        "<stdout>": "f4aab0072c5737fbf5e93f9caa5706bdf6b18e58c00fef0b93c6a34a5c4e714a",
+        "ensemble_records.csv": "b71951b3ccdf737935f847fe6548cb1bd5dfa745bbb96b2e4a12fd823e851b05",
+        "ensemble_summary.json": "f4aab0072c5737fbf5e93f9caa5706bdf6b18e58c00fef0b93c6a34a5c4e714a",
+    },
+    ("defaults", "single-photon"): {
+        "<stdout>": "ce5fa9890cca89373633cefc5a8fb1fa23890c14a91df5ebefce01c2019a8fb7",
+        "single_photon.json": "ce5fa9890cca89373633cefc5a8fb1fa23890c14a91df5ebefce01c2019a8fb7",
+    },
+    ("json", "compare-classical"): {
+        "<stdout>": "685704f39e5bff1e0a260e2959a02f4a3e9a16f02f9a675506dd749d81cc2c63",
+        "compare_classical.json": "685704f39e5bff1e0a260e2959a02f4a3e9a16f02f9a675506dd749d81cc2c63",
+    },
+    ("json", "decoherence"): {
+        "<stdout>": "d61f7fc4091bbb79b77c8a146265391b4677a15017e2313d0bf23be31811f746",
+        "decoherence_scan.json": "d61f7fc4091bbb79b77c8a146265391b4677a15017e2313d0bf23be31811f746",
+    },
+    ("json", "decoherence-ratios"): {
+        "<stdout>": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
+        "decoherence_scan.json": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
+    },
+    ("json", "ensemble"): {
+        "<stdout>": "63598a7a666731df507874c233bede55be1eaa932ffe7636f50047799a62984f",
+        "ensemble_records.json": "88d5310f817b6848163ed205e44bd2d504e3d00435fe28472cd60653c202e1fa",
+        "ensemble_summary.json": "63598a7a666731df507874c233bede55be1eaa932ffe7636f50047799a62984f",
+    },
+    ("json", "single-photon"): {
+        "<stdout>": "e607d903ebc9aefe0fcbc8413f675d448094758df8592f7150fbdedd13e5c2cb",
+        "single_photon.json": "e607d903ebc9aefe0fcbc8413f675d448094758df8592f7150fbdedd13e5c2cb",
+    },
+    ("reflective", "compare-classical"): {
+        "<stdout>": "ed113afb1dbc6dbb1839609c31bb36c4a7fa3c0cd9170698aa14e89b2881b58b",
+        "compare_classical.json": "ed113afb1dbc6dbb1839609c31bb36c4a7fa3c0cd9170698aa14e89b2881b58b",
+    },
+    ("reflective", "decoherence"): {
+        "<stdout>": "5a9679f5d3b0622426f9a211a8c84c19d6983e57114b5cd5162dd72d21814c35",
+        "decoherence_scan.csv": "cf6aae9704ba8da015e1f7aa8566627b8af0a1fce20c829bf43597cb452dfe02",
+    },
+    ("reflective", "decoherence-ratios"): {
+        "<stdout>": "726f3900564c8009a01851c3072150f3711d13bb4ac28a2852d9e80fc16b3d29",
+        "decoherence_scan.csv": "d0cf4ae3e6f71b68c36a13cb76da1010df5cc187f773c8dc35dbf8b684831897",
+    },
+    ("reflective", "ensemble"): {
+        "<stdout>": "e71014c12682c698109a3bbfa931296cc512eed143b84cc0b4b2dba15867a201",
+        "ensemble_records.csv": "d664525c8477205d9e691cadf316f6280fdfbbbd635539b86b39ddcdc1dfc4a2",
+        "ensemble_summary.json": "e71014c12682c698109a3bbfa931296cc512eed143b84cc0b4b2dba15867a201",
+    },
+    ("reflective", "single-photon"): {
+        "<stdout>": "4c7829b0b0587410cc79a69fd9ee8c983ef881b96714afd9517ce97fe2710341",
+        "single_photon.json": "4c7829b0b0587410cc79a69fd9ee8c983ef881b96714afd9517ce97fe2710341",
+    },
+}
+
+
+def run_digests(argv, out_dir, capsys) -> dict[str, str]:
+    """Run one CLI invocation; return the SHA-256 of stdout and of each output file."""
+    assert main([*argv, "--out", str(out_dir)]) == EXIT_OK
+    digests = {"<stdout>": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(out_dir.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_outputs_match_golden_digests(tmp_path, capsys, config, command):
+    got = run_digests(COMMANDS[command] + CONFIGS[config], tmp_path, capsys)
+    want = DIGESTS[config, command]
+    assert sorted(got) == sorted(want), f"{config}/{command}: output files differ"
+    for name, digest in want.items():
+        assert got[name] == digest, (
+            f"{config}/{command}: {name} changed (digests captured with numpy 2.4.6, "
+            f"running numpy {np.__version__})"
+        )

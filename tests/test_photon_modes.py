@@ -5,24 +5,32 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mzkick.errors import ConstraintViolationError
+from mzkick.errors import ConstraintViolationError, ZeroOverlapError
 from mzkick.photon_modes import (
     CHANNEL_D1,
     CHANNEL_D2,
     BeamsplitterSpec,
     ModeAmplitudes,
-    arm_probabilities,
-    detection_probability,
     detector_state,
     inner_product,
     intra_state,
 )
+from mzkick.pointer import default_grid, gaussian_pointer
+from mzkick.weak_measurement import couple_with_kick, postselect
 
 SQRT_075 = 0.8660254037844386  # sqrt(0.75)
 R2_SWEEP = [0.51 + 0.04 * k for k in range(13)]  # 0.51, 0.55, ..., 0.99
 
 r_squared_values = st.floats(min_value=0.01, max_value=0.99)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+# Without a kick the pointer factors out, so the grid post-selection
+# probability is the bare photon probability |<channel|psi>|^2.
+UNKICKED_POINTER = gaussian_pointer(default_grid(1.0), 1.0)
+
+
+def detection_probability(psi: ModeAmplitudes, channel_state: ModeAmplitudes) -> float:
+    return postselect(couple_with_kick(psi, UNKICKED_POINTER, 0.0), channel_state).probability
 
 
 class TestBeamsplitterSpec:
@@ -118,9 +126,12 @@ class TestDetectionProbability:
         assert p == pytest.approx(0.25, abs=1e-12)  # (r^2 - t^2)^2
 
     def test_balanced_dark_port(self):
+        # P(D2) = 0 at r = t: post-selection refuses the forbidden outcome
         bs = BeamsplitterSpec.from_r_squared(0.5)
-        p = detection_probability(intra_state(bs), detector_state(bs, CHANNEL_D2))
-        assert p == pytest.approx(0.0, abs=1e-12)
+        psi = intra_state(bs)
+        with pytest.raises(ZeroOverlapError, match="numerically zero"):
+            detection_probability(psi, detector_state(bs, CHANNEL_D2))
+        assert detection_probability(psi, detector_state(bs, CHANNEL_D1)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("r_squared", R2_SWEEP)
     def test_closed_forms_across_sweep(self, r_squared):
@@ -148,23 +159,3 @@ class TestDetectionProbability:
         p1 = detection_probability(psi, detector_state(bs, CHANNEL_D1))
         p2 = detection_probability(psi, detector_state(bs, CHANNEL_D2))
         assert abs(p1 + p2 - 1.0) < 1e-12
-
-
-class TestArmProbabilities:
-    def test_intra_state_split(self):
-        pa, pb = arm_probabilities(intra_state(BeamsplitterSpec.from_r_squared(0.75)))
-        assert pa == pytest.approx(0.75, abs=1e-12)
-        assert pb == pytest.approx(0.25, abs=1e-12)
-
-    def test_balanced_split(self):
-        pa, pb = arm_probabilities(intra_state(BeamsplitterSpec.from_r_squared(0.5)))
-        assert pa == pytest.approx(0.5, abs=1e-12)
-        assert pb == pytest.approx(0.5, abs=1e-12)
-
-    def test_basis_state(self):
-        assert arm_probabilities(ModeAmplitudes(1.0, 0.0)) == (1.0, 0.0)
-
-    @given(r_squared_values)
-    def test_sums_to_one(self, r_squared):
-        pa, pb = arm_probabilities(intra_state(BeamsplitterSpec.from_r_squared(r_squared)))
-        assert abs(pa + pb - 1.0) < 1e-12

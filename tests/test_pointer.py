@@ -14,9 +14,7 @@ from mzkick.pointer import (
     gaussian_pointer,
     mean_momentum,
     overlap,
-    read_pointer_csv,
     shift,
-    write_pointer_csv,
 )
 
 SPREAD = 10.0
@@ -199,17 +197,3 @@ class TestGridRefinement:
             results.append((mean_momentum(moved), abs(overlap(g, moved))))
         assert abs(results[0][0] - results[1][0]) < 1e-9
         assert abs(results[0][1] - results[1][1]) < 1e-9
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path, gauss):
-        target = tmp_path / "pointer.csv"
-        write_pointer_csv(shift(gauss, 3.0), target)
-        back = read_pointer_csv(target)
-        assert back.grid == gauss.grid
-        assert np.array_equal(back.amplitudes, shift(gauss, 3.0).amplitudes)
-
-    def test_header(self, tmp_path, gauss):
-        target = tmp_path / "pointer.csv"
-        write_pointer_csv(gauss, target)
-        assert target.read_text().splitlines()[0] == "p,re_amplitude,im_amplitude"

@@ -1,4 +1,4 @@
-"""Coupling, post-selection, weak values, per-channel kicks, regimes."""
+"""Coupling, post-selection, weak values, and per-channel kicks."""
 
 import cmath
 import math
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mzkick.cli import ScenarioConfig, run_single_photon
 from mzkick.errors import ConstraintViolationError, GridCoverageError, ZeroOverlapError
 from mzkick.photon_modes import (
     CHANNEL_D1,
@@ -16,21 +17,15 @@ from mzkick.photon_modes import (
     detector_state,
     intra_state,
 )
-from mzkick.pointer import MomentumGrid, default_grid, gaussian_pointer
+from mzkick.pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
 from mzkick.weak_measurement import (
-    REGIME_COHERENT_DETECTABLE,
-    REGIME_COHERENT_UNDETECTABLE,
-    REGIME_DECOHERENT,
     OpticalSetup,
-    coherence_visibility,
     couple_reflection,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
     net_kick_d2,
     postselect,
-    postselection_to_json,
-    regime_classify,
     weak_value_PB,
 )
 
@@ -118,7 +113,8 @@ class TestCoupleReflection:
 
     def test_total_norm_is_one(self, setup, pointer):
         joint = couple_reflection(intra_state(setup.bs), pointer, setup)
-        assert joint.total_norm_squared() == pytest.approx(1.0, abs=1e-10)
+        dens = np.abs(joint.comp_a) ** 2 + np.abs(joint.comp_b) ** 2
+        assert np.trapezoid(dens, pointer.grid.points) == pytest.approx(1.0, abs=1e-10)
 
     def test_kick_off_grid_raises(self, setup):
         narrow = gaussian_pointer(MomentumGrid(-80.0, 80.0, 1024), SPREAD)
@@ -303,46 +299,31 @@ class TestNetKicks:
 
 
 class TestCoherenceVisibility:
+    """|<phi(p)|phi(p - delta)>|: 1 keeps the photon coherent, 0 decoheres it."""
+
+    @staticmethod
+    def visibility(setup, delta_spread):
+        g = gaussian_pointer(default_grid(delta_spread, setup.delta_kick), delta_spread)
+        return abs(overlap(g, shift(g, setup.delta_kick)))
+
     def test_weak_coupling_is_coherent(self, setup):
-        assert coherence_visibility(setup, 1e4) == pytest.approx(1.0, abs=1e-8)
+        assert self.visibility(setup, 1e4) == pytest.approx(1.0, abs=1e-8)
 
     def test_moderate_coupling(self, setup):
-        assert coherence_visibility(setup, SPREAD) == pytest.approx(0.9975031223974601, abs=1e-8)
+        assert self.visibility(setup, SPREAD) == pytest.approx(0.9975031223974601, abs=1e-8)
 
     def test_strong_coupling_decoheres(self):
         setup = make_setup(omega=40.0)  # delta = 40
-        assert coherence_visibility(setup, SPREAD) == pytest.approx(0.01831563888873418, abs=1e-8)
-
-
-class TestRegimeClassify:
-    def test_decoherent(self):
-        setup = make_setup(nbar=1e4)  # delta = 1
-        assert regime_classify(setup, 10.0) == REGIME_DECOHERENT  # 10 < 3*100
-
-    def test_coherent_detectable(self):
-        setup = make_setup(nbar=1e4)
-        assert regime_classify(setup, 1000.0) == REGIME_COHERENT_DETECTABLE  # 1e4 > 3000
-
-    def test_coherent_undetectable(self):
-        setup = make_setup(nbar=1e4)
-        assert regime_classify(setup, 1e5) == REGIME_COHERENT_UNDETECTABLE
-
-    def test_thresholds_are_overridable(self):
-        setup = make_setup(nbar=1e4)
-        assert regime_classify(setup, 10.0, decoherence_factor=0.05) != REGIME_DECOHERENT
-
-    def test_requires_photons(self, setup):
-        with pytest.raises(ConstraintViolationError):
-            regime_classify(setup, 10.0)
+        assert self.visibility(setup, SPREAD) == pytest.approx(0.01831563888873418, abs=1e-8)
 
 
 class TestJsonInterface:
-    def test_fields(self, setup, pointer):
-        psi = intra_state(setup.bs)
-        phi2 = detector_state(setup.bs, CHANNEL_D2)
-        res = postselect(couple_reflection(psi, pointer, setup), phi2)
-        payload = postselection_to_json(CHANNEL_D2, res, weak_value_PB(psi, phi2))
-        assert set(payload) == {"channel", "probability", "mean_kick", "weak_value_re", "weak_value_im"}
+    def test_fields(self):
+        # the single-photon report carries one post-selection block per channel
+        payload = run_single_photon(ScenarioConfig())["channels"][1]
+        assert set(payload) == {
+            "channel", "probability", "mean_kick", "weak_value_re", "weak_value_im", "net_kick"
+        }
         assert payload["channel"] == CHANNEL_D2
         assert payload["weak_value_re"] == pytest.approx(-0.5, abs=1e-12)
         assert payload["weak_value_im"] == pytest.approx(0.0, abs=1e-12)
