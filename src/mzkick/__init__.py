@@ -13,6 +13,7 @@ from .classical_optics import classical_mirror_momentum
 from .ensemble import (
     KickReport,
     RunRecord,
+    RunTable,
     expected_kick_report,
     fluctuation_analysis,
     sample_runs,
@@ -79,6 +80,7 @@ __all__ = [
     "PointerState",
     "PostselectionResult",
     "RunRecord",
+    "RunTable",
     "ZeroOverlapError",
     "classical_mirror_momentum",
     "couple_reflection",

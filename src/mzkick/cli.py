@@ -9,16 +9,13 @@ double precision, so outputs re-parse losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .ensemble import expected_kick_report, fluctuation_analysis, sample_runs
+from .ensemble import POISSON_NBAR_MAX, RunTable, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, BeamsplitterSpec, detector_state, intra_state
 from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
@@ -189,16 +186,17 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, list]:
+def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
     """Monte-Carlo run records plus a summary against the expected totals."""
+    if not 0.0 < cfg.nbar <= POISSON_NBAR_MAX:
+        raise ConfigError(f"nbar: must lie in (0, {POISSON_NBAR_MAX!r}] to sample (got {cfg.nbar})")
     setup = cfg.to_setup()
     records = sample_runs(setup, cfg.trials, cfg.seed)
     report = expected_kick_report(setup)
-    momenta = np.array([rec.mirror_momentum for rec in records])
-    sample_mean = float(momenta.mean())
+    sample_mean = float(records.momentum.mean())
     standard_error = None  # undefined for a single trial
     if cfg.trials > 1:
-        standard_error = float(momenta.std(ddof=1)) / math.sqrt(cfg.trials)
+        standard_error = float(records.momentum.std(ddof=1)) / math.sqrt(cfg.trials)
 
     def _corr(**kwargs):
         try:
@@ -288,13 +286,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_table(path: Path, fmt: str, key: str, header: list[str], rows) -> None:
-    """Write rows (sequences in header order) to path.csv, or to path.json as
-    objects under key; CSV rows are streamed, and floats print at repr precision."""
+    """Write rows (tuples of Python numbers in header order) to path.csv, or to
+    path.json as objects under key; CSV rows are streamed, each number as its
+    repr, so floats keep full precision."""
     if fmt == "csv":
+        line = ",".join(["%r"] * len(header)) + "\n"
         with open(path.with_suffix(".csv"), "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            f.write(",".join(header) + "\n")
+            f.writelines(line % row for row in rows)
     else:
         records = [dict(zip(header, row)) for row in rows]
         _write_json(path.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, key: records})
@@ -357,10 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(out_dir / "single_photon.json", report)
         elif args.command == "ensemble":
             report, records = run_ensemble(cfg)
-            rows = (
-                (i, rec.total_photons, rec.d1_count, rec.d2_count, rec.mirror_momentum)
-                for i, rec in enumerate(records)
-            )
+            rows = zip(range(len(records)), *(col.tolist() for col in records.columns))
             header = ["trial", "N", "n1", "n2", "momentum"]
             _write_table(out_dir / "ensemble_records", args.fmt, "records", header, rows)
             _write_json(out_dir / "ensemble_summary.json", report)

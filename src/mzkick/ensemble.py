@@ -10,7 +10,8 @@ kick, so run-level mirror momentum attaches entirely to the D2 count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,7 +72,54 @@ def expected_kick_report(setup: OpticalSetup) -> KickReport:
     )
 
 
-def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> list[RunRecord]:
+# numpy's largest Poisson mean: Generator.poisson raises ValueError above it.
+POISSON_NBAR_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
+@dataclass(frozen=True, eq=False)
+class RunTable(Sequence):
+    """Runs as read-only columns indexed by trial, with the RunRecord invariants
+    checked once, vectorized; reads as a sequence of RunRecord."""
+
+    totals: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    momentum: np.ndarray
+
+    def __post_init__(self) -> None:
+        bad = np.flatnonzero((np.minimum(self.d1, self.d2) < 0) | (self.d1 + self.d2 != self.totals))
+        if bad.size:
+            n, a, b = self.totals[bad[0]], self.d1[bad[0]], self.d2[bad[0]]
+            raise ConstraintViolationError(f"run {bad[0]}: counts {a} + {b} must be >= 0 and sum to {n}")
+        for col in self.columns:
+            col.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Sequence[RunRecord]) -> RunTable:
+        if isinstance(records, cls):
+            return records
+        return cls(*(np.array([getattr(r, f.name) for r in records]) for f in fields(RunRecord)))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.totals, self.d1, self.d2, self.momentum
+
+    def __len__(self) -> int:
+        return len(self.totals)
+
+    def __getitem__(self, i: int) -> RunRecord:
+        return RunRecord(*(col[i].item() for col in self.columns))
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return (RunRecord(*row) for row in zip(*(col.tolist() for col in self.columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunTable):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
+
+
+def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
     """Monte-Carlo photon counting: Poisson totals, binomial channel split.
 
     Each trial draws N ~ Poisson(nbar) and n1 ~ Binomial(N, 4*r^2*t^2); the
@@ -81,8 +129,8 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> list[RunRecord]:
     """
     if trials < 1:
         raise ConstraintViolationError(f"trials must be >= 1, got {trials}")
-    if setup.nbar <= 0.0:
-        raise ConstraintViolationError("sampling requires nbar > 0")
+    if not 0.0 < setup.nbar <= POISSON_NBAR_MAX:
+        raise ConstraintViolationError(f"sampling requires 0 < nbar <= {POISSON_NBAR_MAX!r}")
     kick2 = net_kick_d2(setup)
     bs = setup.bs
     p_d1 = 4.0 * (bs.r * bs.r) * (bs.t * bs.t)
@@ -90,24 +138,11 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> list[RunRecord]:
     totals = rng.poisson(setup.nbar, size=trials)
     d1 = rng.binomial(totals, p_d1)
     d2 = totals - d1
-    return [
-        RunRecord(int(n), int(a), int(b), float(b * kick2))
-        for n, a, b in zip(totals, d1, d2)
-    ]
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateSampleError("sample has zero variance; correlation undefined")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    return RunTable(totals, d1, d2, d2 * kick2)
 
 
 def fluctuation_analysis(
-    records: list[RunRecord],
+    records: Sequence[RunRecord],
     conditional_on_total: bool = False,
     classical_attribution: bool = False,
 ) -> float:
@@ -127,25 +162,28 @@ def fluctuation_analysis(
     """
     if len(records) < 30:
         raise DegenerateSampleError(f"need at least 30 records, got {len(records)}")
-    n1 = np.array([rec.d1_count for rec in records], dtype=float)
-    mom = np.array([rec.mirror_momentum for rec in records], dtype=float)
+    table = RunTable.from_records(records)
+    n1 = table.d1.astype(float)
+    mom = np.asarray(table.momentum, dtype=float)
     if classical_attribution:
         if n1.mean() == 0.0:
             raise DegenerateSampleError("no D1 counts to attribute momentum to")
         mom = n1 * (mom.mean() / n1.mean())
-    if not conditional_on_total:
-        return _pearson(n1, mom)
-    totals = np.array([rec.total_photons for rec in records])
+    starts = [0]  # one group: the plain Pearson correlation
+    if conditional_on_total:
+        # A stable sort makes each total's runs one slice in trial order: the
+        # same values, summed in the same order, that a per-total mask selects.
+        order = np.argsort(table.totals, kind="stable")
+        _, starts = np.unique(table.totals[order], return_index=True)
+        n1, mom = n1[order], mom[order]
     sxy = sxx = syy = 0.0
-    for total in np.unique(totals):
-        sel = totals == total
-        dx = n1[sel] - n1[sel].mean()
-        dy = mom[sel] - mom[sel].mean()
+    for x, y in zip(np.split(n1, starts[1:]), np.split(mom, starts[1:])):
+        dx = x - x.mean()
+        dy = y - y.mean()
         sxy += float(dx @ dy)
         sxx += float(dx @ dx)
         syy += float(dy @ dy)
     if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateSampleError(
-            "no within-total variance in the sample; conditional correlation undefined"
-        )
+        raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
+                                    "correlation undefined")
     return sxy / math.sqrt(sxx * syy)

@@ -140,8 +140,18 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
             f"shift by {delta_kick} would push significant density off-grid"
         )
     freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
-    moved = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * delta_kick))
-    return PointerState(grid, moved)
+    spectrum = np.fft.fft(state.amplitudes)
+    moved = np.fft.ifft(spectrum * np.exp(-2j * np.pi * freqs * delta_kick))
+    try:
+        return PointerState(grid, moved)
+    except GridCoverageError:
+        # Past the wrap check, edge density is FFT ringing if the spectrum is
+        # not dead at its top frequency (Gaussian of spread s: spacing > ~0.6 s).
+        power = np.abs(spectrum) ** 2
+        if power[(grid.n - 1) // 2] < TAIL_DENSITY_RATIO * power.max():
+            raise
+        raise GridCoverageError(f"grid spacing {grid.spacing:.6g} is too coarse: the FFT shift "
+                                "rings into the grid edges; raise grid_points") from None
 
 
 def mean_momentum(state: PointerState) -> float:

@@ -115,6 +115,13 @@ class TestSinglePhoton:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "single_photon.json").exists()
 
+    def test_coarse_grid_names_spacing(self, tmp_path, capsys):
+        code = main(["single-photon", "--grid-points", "16", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "grid spacing 10.8" in err and "raise grid_points" in err
+        assert "widen" not in err
+
 
 class TestEnsemble:
     def test_summary_values(self, tmp_path, capsys):
@@ -162,6 +169,12 @@ class TestEnsemble:
 
     def test_zero_trials_is_config_error(self, tmp_path, capsys):
         assert main(["ensemble", "--trials", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("nbar", ["0", "1e19", "1e30"])
+    def test_nbar_outside_sampling_range_is_config_error(self, tmp_path, capsys, nbar):
+        assert main(["ensemble", "--nbar", nbar, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "nbar:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_trial_writes_null_statistics(self, tmp_path, capsys):
         assert main(["ensemble", "--trials", "1", "--out", str(tmp_path)]) == EXIT_OK
@@ -231,6 +244,10 @@ class TestCompareClassical:
         assert report["classical_total"] == 0.0
         assert report["ratio"] is None
         assert strict_loads(capsys.readouterr().out) == report
+
+    def test_nbar_beyond_poisson_limit_succeeds(self, tmp_path, capsys):
+        assert main(["compare-classical", "--nbar", "1e30", "--out", str(tmp_path)]) == EXIT_OK
+        assert read_json(tmp_path / "compare_classical.json")["ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_infinite_nbar_is_config_error(self, tmp_path, capsys):
         code = main(["compare-classical", "--nbar", "inf", "--out", str(tmp_path)])

@@ -7,7 +7,9 @@ import pytest
 
 from mzkick.cli import main
 from mzkick.ensemble import (
+    POISSON_NBAR_MAX,
     RunRecord,
+    RunTable,
     expected_kick_report,
     fluctuation_analysis,
     sample_runs,
@@ -32,12 +34,49 @@ def fixed_total_records(total: int, trials: int, seed: int, kick: float, p_d1: f
     return [RunRecord(total, int(a), int(total - a), float((total - a) * kick)) for a in n1]
 
 
+def within_total_reference(records) -> float:
+    """The pooled within-total correlation as a per-total boolean-mask loop."""
+    n1 = np.array([rec.d1_count for rec in records], dtype=float)
+    mom = np.array([rec.mirror_momentum for rec in records], dtype=float)
+    totals = np.array([rec.total_photons for rec in records])
+    sxy = sxx = syy = 0.0
+    for total in np.unique(totals):
+        sel = totals == total
+        dx = n1[sel] - n1[sel].mean()
+        dy = mom[sel] - mom[sel].mean()
+        sxy += float(dx @ dy)
+        sxx += float(dx @ dx)
+        syy += float(dy @ dy)
+    return sxy / math.sqrt(sxx * syy)
+
+
 class TestRunRecord:
     def test_count_consistency_enforced(self):
         with pytest.raises(ConstraintViolationError):
             RunRecord(10, 4, 5, 0.0)
         with pytest.raises(ConstraintViolationError):
             RunRecord(10, -1, 11, 0.0)
+
+
+class TestRunTable:
+    @staticmethod
+    def columns(totals, d1, d2):
+        return np.array(totals), np.array(d1), np.array(d2), np.zeros(len(totals))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConstraintViolationError, match="run 1: counts -1 \\+ 11"):
+            RunTable(*self.columns([10, 10], [4, -1], [6, 11]))
+
+    def test_count_sum_enforced(self):
+        with pytest.raises(ConstraintViolationError, match="run 1"):
+            RunTable(*self.columns([10, 10, 10], [4, 4, 3], [6, 5, 7]))
+
+    def test_reads_as_records(self):
+        table = sample_runs(make_setup(nbar=1e3), 50, seed=3)
+        records = list(table)
+        assert len(table) == len(records) == 50
+        assert [table[0], table[-1]] == [records[0], records[-1]]
+        assert RunTable.from_records(records) == table
 
 
 class TestExpectedKickReport:
@@ -97,11 +136,32 @@ class TestSampleRuns:
             sample_runs(make_setup(), 0, seed=1)
         with pytest.raises(ConstraintViolationError):
             sample_runs(make_setup(nbar=0.0), 10, seed=1)
+        with pytest.raises(ConstraintViolationError):
+            sample_runs(make_setup(nbar=1e30), 10, seed=1)
         with pytest.raises(ZeroOverlapError):
             sample_runs(make_setup(0.5), 10, seed=1)
 
+    def test_nbar_limit_is_numpys(self):
+        assert len(sample_runs(make_setup(nbar=POISSON_NBAR_MAX), 2, seed=1)) == 2
+        rng = np.random.Generator(np.random.Philox(1))
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(POISSON_NBAR_MAX, np.inf))
+
 
 class TestFluctuationAnalysis:
+    @pytest.mark.parametrize(
+        "mode", [{}, {"conditional_on_total": True}, {"classical_attribution": True}]
+    )
+    def test_table_and_record_list_agree_exactly(self, mode):
+        table = sample_runs(make_setup(nbar=1e4), 2000, seed=17)
+        assert fluctuation_analysis(table, **mode) == fluctuation_analysis(list(table), **mode)
+
+    def test_grouped_pooling_matches_mask_loop_exactly(self):
+        table = sample_runs(make_setup(nbar=1e4), 5000, seed=23)
+        assert len(np.unique(table.totals)) >= 100
+        corr = fluctuation_analysis(table, conditional_on_total=True)
+        assert corr == within_total_reference(list(table))
+
     def test_fixed_total_correlation_is_plus_one(self):
         setup = make_setup(nbar=1e4)
         records = fixed_total_records(10_000, 500, seed=2, kick=net_kick_d2(setup), p_d1=0.75)

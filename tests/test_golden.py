@@ -101,6 +101,24 @@ DIGESTS = {
 }
 
 
+# About 600 distinct Poisson totals, so the within-total correlation pools
+# many groups; captured like DIGESTS.
+MANY_GROUPS = ["ensemble", "--nbar", "10000", "--trials", "20000", "--seed", "5"]
+MANY_GROUPS_SUMMARY = "5c7f962011433ead961832cc68a594f489c1705f9945e0965aeb2c0fc7048780"
+MANY_GROUPS_DIGESTS = {
+    "csv": {
+        "<stdout>": MANY_GROUPS_SUMMARY,
+        "ensemble_records.csv": "32d0add1c7bfe3c8eb6034210857ecbef69628911831fd5caf15add42f297a9d",
+        "ensemble_summary.json": MANY_GROUPS_SUMMARY,
+    },
+    "json": {
+        "<stdout>": MANY_GROUPS_SUMMARY,
+        "ensemble_records.json": "e9f18229fedf187a9d82962b62f2a1ad3692a05466fa85bd266fcc3b07af118c",
+        "ensemble_summary.json": MANY_GROUPS_SUMMARY,
+    },
+}
+
+
 def run_digests(argv, out_dir, capsys) -> dict[str, str]:
     """Run one CLI invocation; return the SHA-256 of stdout and of each output file."""
     assert main([*argv, "--out", str(out_dir)]) == EXIT_OK
@@ -121,3 +139,12 @@ def test_outputs_match_golden_digests(tmp_path, capsys, config, command):
             f"{config}/{command}: {name} changed (digests captured with numpy 2.4.6, "
             f"running numpy {np.__version__})"
         )
+
+
+@pytest.mark.parametrize("fmt", sorted(MANY_GROUPS_DIGESTS))
+def test_many_poisson_groups_match_golden_digests(tmp_path, capsys, fmt):
+    got = run_digests([*MANY_GROUPS, "--format", fmt], tmp_path, capsys)
+    assert got == MANY_GROUPS_DIGESTS[fmt], (
+        f"many-groups ensemble ({fmt}) changed (digests captured with numpy 2.4.6, "
+        f"running numpy {np.__version__})"
+    )
