@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ensemble import POISSON_NBAR_MAX, RunTable, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
-from .photon_modes import CHANNEL_D1, CHANNEL_D2, BeamsplitterSpec, detector_state, intra_state
+from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
 from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
 from .weak_measurement import (
     OpticalSetup,
@@ -146,22 +146,27 @@ def _setup_summary(cfg: ScenarioConfig, setup: OpticalSetup) -> dict:
     }
 
 
+def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float], weak_channels):
+    """Weak values of weak_channels, then (D1, D2) post-selections at each kick.
+
+    Builds the states and one Gaussian pointer on a grid sized for the largest
+    |kick|. The weak values come before any grid work, so a forbidden channel
+    raises first; the returned iterator couples and post-selects as it is read.
+    """
+    psi = intra_state(setup.bs)
+    phis = {channel: detector_state(setup.bs, channel) for channel in CHANNELS}
+    weak = [weak_value_PB(psi, phis[channel]) for channel in weak_channels]
+    pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
+    joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
+    return weak, pointer, (tuple(postselect(joint, phi) for phi in phis.values()) for joint in joints)
+
+
 def run_single_photon(cfg: ScenarioConfig) -> dict:
     """Weak values, exact conditional kicks, and net per-channel kicks."""
     setup = cfg.to_setup()
-    psi = intra_state(setup.bs)
-    phi1 = detector_state(setup.bs, CHANNEL_D1)
-    phi2 = detector_state(setup.bs, CHANNEL_D2)
     kick1 = net_kick_d1(setup)
     kick2 = net_kick_d2(setup)  # raises ZeroOverlapError naming D2 at r = t
-    wv1 = weak_value_PB(psi, phi1)
-    wv2 = weak_value_PB(psi, phi2)
-
-    grid = cfg.build_grid(setup.delta_kick)
-    pointer = gaussian_pointer(grid, cfg.delta_spread)
-    joint = couple_with_kick(psi, pointer, setup.delta_kick)
-    res1 = postselect(joint, phi1)
-    res2 = postselect(joint, phi2)
+    (wv1, wv2), _, [(res1, res2)] = _exact_channels(cfg, setup, [setup.delta_kick], CHANNELS)
 
     channels = [
         {
@@ -228,36 +233,23 @@ def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float
     probabilities, the exact D2 conditional kick, and the weak-value prediction
     it departs from once the coupling decoheres the photon.
     """
-    if not delta_over_spread_list:
-        raise ConfigError("ratios: need at least one delta/spread ratio")
+    if not delta_over_spread_list or not all(map(math.isfinite, delta_over_spread_list)):
+        raise ConfigError("ratios: need at least one delta/spread ratio, all finite "
+                          f"(got {delta_over_spread_list})")
     setup = cfg.to_setup()
-    psi = intra_state(setup.bs)
-    phi1 = detector_state(setup.bs, CHANNEL_D1)
-    phi2 = detector_state(setup.bs, CHANNEL_D2)
-    wv2 = weak_value_PB(psi, phi2)
-    spread = cfg.delta_spread
-    largest = max(abs(x) for x in delta_over_spread_list) * spread
-    grid = cfg.build_grid(largest)
-    pointer = gaussian_pointer(grid, spread)
-    rows = []
-    for ratio in delta_over_spread_list:
-        delta = ratio * spread
-        moved = shift(pointer, delta)
-        visibility = abs(overlap(pointer, moved))
-        joint = couple_with_kick(psi, pointer, delta)
-        res1 = postselect(joint, phi1)
-        res2 = postselect(joint, phi2)
-        rows.append(
-            {
-                "delta_over_spread": ratio,
-                "visibility": visibility,
-                "p_d1": res1.probability,
-                "p_d2": res2.probability,
-                "d2_mean_kick": res2.mean_kick,
-                "d2_weak_kick": wv2.real * delta,
-            }
-        )
-    return rows
+    kicks = [ratio * cfg.delta_spread for ratio in delta_over_spread_list]
+    (wv2,), pointer, results = _exact_channels(cfg, setup, kicks, (CHANNEL_D2,))
+    return [
+        {
+            "delta_over_spread": ratio,
+            "visibility": abs(overlap(pointer, shift(pointer, delta))),
+            "p_d1": res1.probability,
+            "p_d2": res2.probability,
+            "d2_mean_kick": res2.mean_kick,
+            "d2_weak_kick": wv2.real * delta,
+        }
+        for ratio, delta, (res1, res2) in zip(delta_over_spread_list, kicks, results)
+    ]
 
 
 def run_compare_classical(cfg: ScenarioConfig) -> dict:

@@ -180,9 +180,10 @@ def fluctuation_analysis(
     for x, y in zip(np.split(n1, starts[1:]), np.split(mom, starts[1:])):
         dx = x - x.mean()
         dy = y - y.mean()
-        sxy += float(dx @ dy)
-        sxx += float(dx @ dx)
-        syy += float(dy @ dy)
+        # np.sum, not a BLAS dot: its result does not depend on the thread count.
+        sxy += float(np.sum(dx * dy))
+        sxx += float(np.sum(dx * dx))
+        syy += float(np.sum(dy * dy))
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
                                     "correlation undefined")

@@ -99,7 +99,8 @@ class PointerState:
 
 
 def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
-    """Normalized samples of exp(-p^2 / (2 spread^2)) centered at p = 0."""
+    """Normalized samples of exp(-p^2 / (2 spread^2)) centered at p = 0, on a
+    grid that both covers and resolves the Gaussian."""
     if delta_spread <= 0.0:
         raise ConstraintViolationError(f"delta_spread must be positive, got {delta_spread}")
     margin = COVERAGE_SPREADS * delta_spread
@@ -107,6 +108,15 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
         raise GridCoverageError(
             f"grid [{grid.p_min}, {grid.p_max}] must extend at least +-{margin} "
             f"around 0 for spread {delta_spread}"
+        )
+    # Resolution: the spectrum's power at the top FFT frequency, relative to its
+    # peak, is exp(-(pi*spread/spacing)^2); past TAIL_DENSITY_RATIO (spacing
+    # above ~0.6 spreads) a shift rings into the grid edges.
+    max_spacing = math.pi * delta_spread / math.sqrt(-math.log(TAIL_DENSITY_RATIO))
+    if grid.spacing > max_spacing:
+        raise GridCoverageError(
+            f"grid spacing {grid.spacing:.6g} is too coarse for spread {delta_spread} "
+            f"(at most {max_spacing:.6g}); raise grid_points"
         )
     p = grid.points
     amp = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread)).astype(np.complex128)
@@ -140,18 +150,8 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
             f"shift by {delta_kick} would push significant density off-grid"
         )
     freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
-    spectrum = np.fft.fft(state.amplitudes)
-    moved = np.fft.ifft(spectrum * np.exp(-2j * np.pi * freqs * delta_kick))
-    try:
-        return PointerState(grid, moved)
-    except GridCoverageError:
-        # Past the wrap check, edge density is FFT ringing if the spectrum is
-        # not dead at its top frequency (Gaussian of spread s: spacing > ~0.6 s).
-        power = np.abs(spectrum) ** 2
-        if power[(grid.n - 1) // 2] < TAIL_DENSITY_RATIO * power.max():
-            raise
-        raise GridCoverageError(f"grid spacing {grid.spacing:.6g} is too coarse: the FFT shift "
-                                "rings into the grid edges; raise grid_points") from None
+    moved = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * delta_kick))
+    return PointerState(grid, moved)
 
 
 def mean_momentum(state: PointerState) -> float:

@@ -1,14 +1,18 @@
 """End-to-end coverage of the command-line interface and its file outputs."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mzkick
 from mzkick.cli import (
@@ -213,12 +217,37 @@ class TestDecoherence:
         with pytest.raises(ConfigError):
             run_decoherence_scan(ScenarioConfig(), [])
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_exits_two(self, tmp_path, capsys, ratio):
+        code = main(["decoherence", "--ratios", "0.5", ratio, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "ratios:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_kick_needs_wider_grid(self, tmp_path, capsys):
         code = main(
             ["decoherence", "--ratios", "5", "--grid-halfwidth", "60", "--out", str(tmp_path)]
         )
         assert code == EXIT_NUMERICAL
         assert "grid" in capsys.readouterr().err.lower()
+
+
+class TestGridRules:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-photon", "--grid-halfwidth", "1e6"],
+            ["single-photon", "--omega", "1e8"],
+            ["single-photon", "--delta-spread", "1e-9"],
+            ["decoherence", "--ratios", "1e6"],
+        ],
+        ids=["halfwidth", "omega", "spread", "ratio"],
+    )
+    def test_unresolved_pointer_is_refused(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "grid spacing" in err and "raise grid_points" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareClassical:
@@ -254,6 +283,74 @@ class TestCompareClassical:
         assert code == EXIT_CONFIG
         assert "nbar:" in capsys.readouterr().err
         assert not (tmp_path / "compare_classical.json").exists()
+
+
+def extreme(values, typical):
+    """Mostly a typical draw, else one of the listed extreme values."""
+    return st.integers(0, 3).flatmap(lambda i: typical if i else st.sampled_from(values))
+
+
+SCENARIO_FLAGS = {
+    "r_squared": extreme([0.0, 0.5, 1.0, 1.5], st.floats(0.55, 0.95)),
+    "omega": extreme([1e-9, 1e3, 1e8, 1e9], st.floats(0.01, 10.0)),
+    "alpha_degrees": st.floats(1.0, 89.0),
+    "nbar": extreme([0.0, 1e19, 1e30], st.floats(1.0, 1e4)),
+    "delta_spread": extreme([1e-10, 1e-9, 1e-3, 1e4], st.floats(0.1, 100.0)),
+    "grid_points": st.integers(16, 4096),
+    "grid_halfwidth": extreme([1e6, 1e7], st.just(0.0) | st.floats(1.0, 1e3)),
+    "seed": st.integers(0, 2**32),
+    "trials": st.integers(1, 500),
+}
+RATIOS = st.lists(extreme([math.nan, math.inf, 1e6], st.floats(0.0, 5.0)), min_size=1, max_size=4)
+
+
+@st.composite
+def cli_argv(draw):
+    # single-photon twice: its successes carry the closed-form check
+    command = draw(st.sampled_from(
+        ["single-photon", "single-photon", "ensemble", "decoherence", "compare-classical"]
+    ))
+    argv = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
+    for name, values in SCENARIO_FLAGS.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"--{name.replace('_', '-')}={value!r}")
+    if command == "decoherence" and draw(st.booleans()):
+        argv += ["--ratios", *map(repr, draw(RATIOS))]
+    return argv
+
+
+def gaussian_channel_closed_forms(config: dict) -> tuple[float, float, float]:
+    """Kick, P(D1) and the D2 mean kick for a Gaussian pointer, from the config alone."""
+    r2 = config["r_squared"]
+    t2 = 1.0 - r2
+    kick = 2.0 * config["omega"] * math.cos(math.radians(config["alpha_degrees"]))
+    v = math.exp(-kick * kick / (4.0 * config["delta_spread"] ** 2))
+    p_d1 = 2.0 * r2 * t2 * (1.0 + v)
+    d2_kick = kick * (t2 * t2 - r2 * t2 * v) / (r2 * r2 + t2 * t2 - 2.0 * r2 * t2 * v)
+    return kick, p_d1, d2_kick
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(cli_argv())
+    def test_any_argv_exits_cleanly_with_strict_json(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", out])
+            assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG), stderr.getvalue()
+            if code != EXIT_OK:
+                return
+            report = strict_loads(stdout.getvalue())
+            for path in Path(out).glob("*.json"):
+                read_json(path)
+        if argv[0] == "single-photon" and 0.55 <= report["config"]["r_squared"] <= 0.95:
+            kick, p_d1, d2_kick = gaussian_channel_closed_forms(report["config"])
+            d1, d2 = report["channels"]
+            tol = 1e-8 * max(1.0, abs(kick))
+            assert d1["probability"] == pytest.approx(p_d1, abs=tol)
+            assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol)
 
 
 class TestModuleEntryPoint:

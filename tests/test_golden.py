@@ -8,10 +8,15 @@ numpy, which is why a mismatch names the numpy version.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzkick
 from mzkick.cli import EXIT_OK, main
 
 CONFIGS = {
@@ -48,9 +53,9 @@ DIGESTS = {
         "decoherence_scan.csv": "7bfba93f18d3f8c8cf1ad7f78a7d20f0dcb17906bb0a942b161566c8b4684de8",
     },
     ("defaults", "ensemble"): {
-        "<stdout>": "f4aab0072c5737fbf5e93f9caa5706bdf6b18e58c00fef0b93c6a34a5c4e714a",
+        "<stdout>": "3ee7ea49f28474cf74391df81915b4438cb49cc9cfbff6b68405d8bd7f6d428e",
         "ensemble_records.csv": "b71951b3ccdf737935f847fe6548cb1bd5dfa745bbb96b2e4a12fd823e851b05",
-        "ensemble_summary.json": "f4aab0072c5737fbf5e93f9caa5706bdf6b18e58c00fef0b93c6a34a5c4e714a",
+        "ensemble_summary.json": "3ee7ea49f28474cf74391df81915b4438cb49cc9cfbff6b68405d8bd7f6d428e",
     },
     ("defaults", "single-photon"): {
         "<stdout>": "ce5fa9890cca89373633cefc5a8fb1fa23890c14a91df5ebefce01c2019a8fb7",
@@ -69,9 +74,9 @@ DIGESTS = {
         "decoherence_scan.json": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
     },
     ("json", "ensemble"): {
-        "<stdout>": "63598a7a666731df507874c233bede55be1eaa932ffe7636f50047799a62984f",
+        "<stdout>": "2e32a7e9652a87803ca54fce295203041bb83f5ed5bf4e5b3c30bef9efa10551",
         "ensemble_records.json": "88d5310f817b6848163ed205e44bd2d504e3d00435fe28472cd60653c202e1fa",
-        "ensemble_summary.json": "63598a7a666731df507874c233bede55be1eaa932ffe7636f50047799a62984f",
+        "ensemble_summary.json": "2e32a7e9652a87803ca54fce295203041bb83f5ed5bf4e5b3c30bef9efa10551",
     },
     ("json", "single-photon"): {
         "<stdout>": "e607d903ebc9aefe0fcbc8413f675d448094758df8592f7150fbdedd13e5c2cb",
@@ -90,9 +95,9 @@ DIGESTS = {
         "decoherence_scan.csv": "d0cf4ae3e6f71b68c36a13cb76da1010df5cc187f773c8dc35dbf8b684831897",
     },
     ("reflective", "ensemble"): {
-        "<stdout>": "e71014c12682c698109a3bbfa931296cc512eed143b84cc0b4b2dba15867a201",
+        "<stdout>": "cde726c04856f7d458c28158130ae324b1d3dcd4bbccc482035fb95c5dae9d95",
         "ensemble_records.csv": "d664525c8477205d9e691cadf316f6280fdfbbbd635539b86b39ddcdc1dfc4a2",
-        "ensemble_summary.json": "e71014c12682c698109a3bbfa931296cc512eed143b84cc0b4b2dba15867a201",
+        "ensemble_summary.json": "cde726c04856f7d458c28158130ae324b1d3dcd4bbccc482035fb95c5dae9d95",
     },
     ("reflective", "single-photon"): {
         "<stdout>": "4c7829b0b0587410cc79a69fd9ee8c983ef881b96714afd9517ce97fe2710341",
@@ -104,7 +109,7 @@ DIGESTS = {
 # About 600 distinct Poisson totals, so the within-total correlation pools
 # many groups; captured like DIGESTS.
 MANY_GROUPS = ["ensemble", "--nbar", "10000", "--trials", "20000", "--seed", "5"]
-MANY_GROUPS_SUMMARY = "5c7f962011433ead961832cc68a594f489c1705f9945e0965aeb2c0fc7048780"
+MANY_GROUPS_SUMMARY = "df7600d6555227a5870b888c442e4a2e71c672a503263f6bbf624345d28f4d89"
 MANY_GROUPS_DIGESTS = {
     "csv": {
         "<stdout>": MANY_GROUPS_SUMMARY,
@@ -148,3 +153,18 @@ def test_many_poisson_groups_match_golden_digests(tmp_path, capsys, fmt):
         f"many-groups ensemble ({fmt}) changed (digests captured with numpy 2.4.6, "
         f"running numpy {np.__version__})"
     )
+
+
+def test_summary_does_not_depend_on_blas_threads(tmp_path):
+    # A BLAS dot product over more than 10,000 elements splits across threads,
+    # which changes its last bits; the statistics must not use one.
+    src = str(Path(mzkick.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "mzkick", *MANY_GROUPS, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        summaries.append((out / "ensemble_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]

@@ -113,7 +113,7 @@ class TestShift:
     @pytest.mark.parametrize(
         "n,halfwidth,delta,message",
         [
-            # spacing 10.8 > 0.6 spreads: FFT aliasing rings into the edges
+            # spacing 10.8 > 0.6 spreads: too coarse to build the Gaussian
             (16, 81.0, 1.0, "grid spacing 10.8 is too coarse.*raise grid_points"),
             # spacing 5.56 resolves the state, but the shift carries real
             # density (exp(-25) of the peak) onto the edge
@@ -122,9 +122,8 @@ class TestShift:
         ids=["coarse", "coverage"],
     )
     def test_edge_failure_names_its_cause(self, n, halfwidth, delta, message):
-        g = gaussian_pointer(MomentumGrid(-halfwidth, halfwidth, n), SPREAD)
         with pytest.raises(GridCoverageError, match=message):
-            shift(g, delta)
+            shift(gaussian_pointer(MomentumGrid(-halfwidth, halfwidth, n), SPREAD), delta)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-30.0, max_value=30.0))
