@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .ensemble import POISSON_NBAR_MAX, RunTable, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
-from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
+from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap
 from .weak_measurement import (
     OpticalSetup,
     couple_with_kick,
@@ -35,6 +38,14 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 DEFAULT_SCAN_RATIOS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
+
+# A decimal number with a leading minus, exponent form included.
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _is_normal(x: float) -> bool:
+    """Whether x is a normal float: not zero, subnormal, infinite or nan."""
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,8 @@ class ScenarioConfig:
             problems.append(f"nbar: must be non-negative (got {self.nbar})")
         if self.delta_spread <= 0.0:
             problems.append(f"delta_spread: must be positive (got {self.delta_spread})")
+        elif self.delta_spread < math.inf and not _is_normal(2.0 * self.delta_spread * self.delta_spread):
+            problems.append(f"delta_spread: 2*spread**2 is not a normal float (got {self.delta_spread})")
         if self.grid_points < 16:
             problems.append(f"grid_points: must be at least 16 (got {self.grid_points})")
         if self.grid_halfwidth < 0.0:
@@ -85,17 +98,25 @@ class ScenarioConfig:
         return math.radians(self.alpha_degrees)
 
     def to_setup(self) -> OpticalSetup:
-        return OpticalSetup(
+        setup = OpticalSetup(
             bs=BeamsplitterSpec.from_r_squared(self.r_squared),
             omega=self.omega,
             alpha=self.alpha,
             nbar=self.nbar,
         )
+        if not math.isfinite(setup.delta_kick):
+            raise ConfigError(f"omega: the kick 2*omega*cos(alpha) overflows (got {self.omega})")
+        return setup
 
     def build_grid(self, max_shift: float) -> MomentumGrid:
         if self.grid_halfwidth > 0.0:
-            return MomentumGrid(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
-        return default_grid(self.delta_spread, max_shift, self.grid_points)
+            grid = MomentumGrid(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
+        else:
+            grid = default_grid(self.delta_spread, max_shift, self.grid_points)
+        if not _is_normal(grid.p_max * grid.p_max):
+            raise ConfigError(f"grid_halfwidth: the grid half-width (given, or 8 spreads plus "
+                              f"the largest kick) must square to a normal float (got {grid.p_max})")
+        return grid
 
 
 # Scenario field -> int or float: the one source for the CLI flags, the
@@ -146,19 +167,28 @@ def _setup_summary(cfg: ScenarioConfig, setup: OpticalSetup) -> dict:
     }
 
 
-def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float], weak_channels):
-    """Weak values of weak_channels, then (D1, D2) post-selections at each kick.
+def _expected_totals(setup: OpticalSetup):
+    """The expected momentum totals, each of which must be zero or a normal float."""
+    report = expected_kick_report(setup)
+    if not all(x == 0.0 or _is_normal(x) for x in astuple(report)):
+        raise ConfigError(f"nbar: the expected momentum totals must be zero or normal floats "
+                          f"(got {astuple(report)} at nbar {setup.nbar}, omega {setup.omega})")
+    return report
+
+
+def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]):
+    """Both weak values, the pointer, then each kick's arm_b pointer and (D1, D2) post-selections.
 
     Builds the states and one Gaussian pointer on a grid sized for the largest
     |kick|. The weak values come before any grid work, so a forbidden channel
     raises first; the returned iterator couples and post-selects as it is read.
     """
     psi = intra_state(setup.bs)
-    phis = {channel: detector_state(setup.bs, channel) for channel in CHANNELS}
-    weak = [weak_value_PB(psi, phis[channel]) for channel in weak_channels]
+    phis = [detector_state(setup.bs, channel) for channel in CHANNELS]
+    weak = [weak_value_PB(psi, phi) for phi in phis]
     pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
-    return weak, pointer, (tuple(postselect(joint, phi) for phi in phis.values()) for joint in joints)
+    return weak, pointer, ((joint.arm_b, *(postselect(joint, phi) for phi in phis)) for joint in joints)
 
 
 def run_single_photon(cfg: ScenarioConfig) -> dict:
@@ -166,7 +196,7 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
     setup = cfg.to_setup()
     kick1 = net_kick_d1(setup)
     kick2 = net_kick_d2(setup)  # raises ZeroOverlapError naming D2 at r = t
-    (wv1, wv2), _, [(res1, res2)] = _exact_channels(cfg, setup, [setup.delta_kick], CHANNELS)
+    (wv1, wv2), _, [(_, res1, res2)] = _exact_channels(cfg, setup, [setup.delta_kick])
 
     channels = [
         {
@@ -196,8 +226,15 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
     if not 0.0 < cfg.nbar <= POISSON_NBAR_MAX:
         raise ConfigError(f"nbar: must lie in (0, {POISSON_NBAR_MAX!r}] to sample (got {cfg.nbar})")
     setup = cfg.to_setup()
-    records = sample_runs(setup, cfg.trials, cfg.seed)
-    report = expected_kick_report(setup)
+    report = _expected_totals(setup)
+    with np.errstate(over="ignore"):  # an overflowing momentum is inf, refused below
+        records = sample_runs(setup, cfg.trials, cfg.seed)
+    # The statistics square the momenta, sum them over the trials and multiply
+    # two such sums; the classical attribution scales momenta by up to trials.
+    peak = float(abs(records.momentum).max())
+    bound = 2.0 * (cfg.trials * int(records.totals.max())) ** 2 * peak
+    if not (peak == 0.0 or _is_normal(peak * peak)) or not math.isfinite(bound * bound):
+        raise ConfigError(f"omega: run momenta up to {peak} leave the float range of the statistics")
     sample_mean = float(records.momentum.mean())
     standard_error = None  # undefined for a single trial
     if cfg.trials > 1:
@@ -238,24 +275,24 @@ def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float
                           f"(got {delta_over_spread_list})")
     setup = cfg.to_setup()
     kicks = [ratio * cfg.delta_spread for ratio in delta_over_spread_list]
-    (wv2,), pointer, results = _exact_channels(cfg, setup, kicks, (CHANNEL_D2,))
+    (_, wv2), pointer, results = _exact_channels(cfg, setup, kicks)
     return [
         {
             "delta_over_spread": ratio,
-            "visibility": abs(overlap(pointer, shift(pointer, delta))),
+            "visibility": abs(overlap(pointer, arm_b)),
             "p_d1": res1.probability,
             "p_d2": res2.probability,
             "d2_mean_kick": res2.mean_kick,
             "d2_weak_kick": wv2.real * delta,
         }
-        for ratio, delta, (res1, res2) in zip(delta_over_spread_list, kicks, results)
+        for ratio, delta, (arm_b, res1, res2) in zip(delta_over_spread_list, kicks, results)
     ]
 
 
 def run_compare_classical(cfg: ScenarioConfig) -> dict:
     """Side-by-side quantum ensemble total and classical wave-optics momentum."""
     setup = cfg.to_setup()
-    report = expected_kick_report(setup)
+    report = _expected_totals(setup)
     classical = report.classical_reference  # zero only when nbar = 0
     return {
         "schema_version": SCHEMA_VERSION,
@@ -328,6 +365,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare-classical", parents=[common],
         help="quantum ensemble total versus the classical wave-optics momentum",
     )
+    # argparse reads "-1e-3" as an option unless its private negative-number
+    # pattern, set per parser, matches; widened to take exponent forms.
+    for command in sub.choices.values():
+        command._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

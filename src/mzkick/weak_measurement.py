@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import MomentumGrid, PointerState, mean_momentum, shift
+from .pointer import PointerState, mean_momentum, shift
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
@@ -39,7 +39,6 @@ class OpticalSetup:
     bs: BeamsplitterSpec
     omega: float
     alpha: float
-    hbar: float = 1.0
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
@@ -49,10 +48,13 @@ class OpticalSetup:
             )
         if self.omega <= 0.0:
             raise ConstraintViolationError(f"omega must be positive, got {self.omega}")
-        if self.hbar <= 0.0:
-            raise ConstraintViolationError(f"hbar must be positive, got {self.hbar}")
         if self.nbar < 0.0:
             raise ConstraintViolationError(f"nbar must be non-negative, got {self.nbar}")
+
+    @property
+    def hbar(self) -> float:
+        """Reduced Planck constant, fixed by the choice of units."""
+        return 1.0
 
     @property
     def cos_beta(self) -> float:
@@ -69,11 +71,19 @@ class OpticalSetup:
 
 
 class JointState(NamedTuple):
-    """Entangled photon-mirror state: one pointer-valued component per arm."""
+    """Entangled photon-mirror state a|A>arm_a + b|B>arm_b, where psi = (a, b)."""
 
-    grid: MomentumGrid
-    comp_a: np.ndarray
-    comp_b: np.ndarray
+    psi: ModeAmplitudes
+    arm_a: PointerState
+    arm_b: PointerState
+
+    @property
+    def comp_a(self) -> np.ndarray:
+        return self.psi.a * self.arm_a.amplitudes
+
+    @property
+    def comp_b(self) -> np.ndarray:
+        return self.psi.b * self.arm_b.amplitudes
 
 
 @dataclass(frozen=True)
@@ -89,12 +99,7 @@ def couple_with_kick(psi: ModeAmplitudes, pointer: PointerState, delta_kick: flo
     """Exact reflection coupling at an explicit kick: a|A>phi(p) + b|B>phi(p - delta)."""
     psi.require_normalized()
     pointer.require_normalized()
-    moved = shift(pointer, delta_kick)
-    return JointState(
-        pointer.grid,
-        psi.a * pointer.amplitudes,
-        psi.b * moved.amplitudes,
-    )
+    return JointState(psi, pointer, shift(pointer, delta_kick))
 
 
 def couple_reflection(psi: ModeAmplitudes, pointer: PointerState, setup: OpticalSetup) -> JointState:
@@ -113,12 +118,8 @@ def first_order_joint(psi: ModeAmplitudes, pointer: PointerState, setup: Optical
     grid = pointer.grid
     freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
     dphi = np.fft.ifft(np.fft.fft(pointer.amplitudes) * (2j * np.pi * freqs))
-    delta = setup.delta_kick
-    return JointState(
-        grid,
-        psi.a * pointer.amplitudes,
-        psi.b * (pointer.amplitudes - delta * dphi),
-    )
+    expanded = PointerState(grid, pointer.amplitudes - setup.delta_kick * dphi)
+    return JointState(psi, pointer, expanded)
 
 
 def weak_value_PB(psi: ModeAmplitudes, phi_post: ModeAmplitudes) -> complex:
@@ -144,13 +145,13 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     normalized (couple_with_kick guarantees this; first_order_joint does not).
     """
     cond = phi_post.a.conjugate() * joint.comp_a + phi_post.b.conjugate() * joint.comp_b
-    p = joint.grid.points
-    probability = float(np.trapezoid(np.abs(cond) ** 2, p))
+    grid = joint.arm_a.grid
+    probability = float(np.trapezoid(np.abs(cond) ** 2, grid.points))
     if probability < ZERO_OVERLAP_TOL:
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
-    conditional = PointerState(joint.grid, cond / math.sqrt(probability))
+    conditional = PointerState(grid, cond / math.sqrt(probability))
     return PostselectionResult(
         probability=probability,
         conditional_pointer=conditional,

@@ -1,16 +1,19 @@
 """End-to-end coverage of the command-line interface and its file outputs."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from mzkick.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ScenarioConfig,
+    _build_parser,
     load_config,
     main,
     run_decoherence_scan,
@@ -213,6 +217,15 @@ class TestDecoherence:
         assert rows[0]["visibility"] == pytest.approx(v, abs=1e-8)
         assert rows[0]["p_d1"] == pytest.approx(2.0 * 0.75 * 0.25 * (1.0 + v), abs=1e-8)
 
+    def test_one_shift_per_kick(self, monkeypatch):
+        ifft_calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ifft_calls.append(1) or ifft(*a, **k))
+        ratios = [0.0, 0.5, 1.0, -2.0, 5.0]
+        rows = run_decoherence_scan(ScenarioConfig(), ratios)
+        assert [row["delta_over_spread"] for row in rows] == ratios
+        assert len(ifft_calls) == 4  # one per nonzero ratio; a zero kick shifts nothing
+
     def test_empty_ratio_list_rejected(self):
         with pytest.raises(ConfigError):
             run_decoherence_scan(ScenarioConfig(), [])
@@ -247,6 +260,61 @@ class TestGridRules:
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "grid spacing" in err and "raise grid_points" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["single-photon", "--delta-spread", "1e300"], "delta_spread"),
+            (["single-photon", "--delta-spread", "1e154"], "delta_spread"),
+            (["single-photon", "--delta-spread", "1e-300", "--omega", "1e-300"], "delta_spread"),
+            (["compare-classical", "--nbar", "1e300", "--omega", "1e300"], "nbar"),
+            (["ensemble", "--omega", "1e308", "--nbar", "1e4", "--trials", "50"], "omega"),
+            (["ensemble", "--omega", "1e200", "--trials", "50"], "omega"),
+            (["ensemble", "--omega", "1e150", "--trials", "50"], "omega"),
+            (["ensemble", "--omega", "1e-160", "--trials", "50"], "omega"),
+            # finite totals, but a run with 3 D2 photons overflows its momentum
+            (["ensemble", "--omega", "3e307", "--nbar", "2.5", "--r-squared", "0.6",
+              "--trials", "20000"], "omega"),
+            (["decoherence", "--ratios", "0.5", "1e300"], "grid_halfwidth"),
+            (["single-photon", "--omega", "-1e-3"], "omega"),
+        ],
+        ids=["spread-huge", "spread-square-overflow", "spread-tiny", "totals", "kick",
+             "momentum-huge", "statistics", "momentum-tiny", "momentum-overflow", "ratio-huge",
+             "negative-exponent"],
+    )
+    def test_out_of_range_exits_two_before_writing(self, tmp_path, capsys, argv, field):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"\n{field}:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNegativeNumbers:
+    def test_argparse_keeps_its_negative_number_pattern(self):
+        # cli replaces this private argparse attribute on each subcommand parser;
+        # if argparse drops it, exponent-form negatives are options again.
+        assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+        parser = _build_parser()
+        for command in ("single-photon", "ensemble", "decoherence", "compare-classical"):
+            assert parser.parse_args([command, "--omega", "-1e-3"]).omega == -1e-3
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+3", "-.5e2", "-2.", "-1.5e-300"])
+    def test_negative_ratio_in_any_form(self, tmp_path, capsys, value):
+        assert main(["decoherence", "--ratios", "0.5", value, "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "decoherence_scan.csv", newline="") as f:
+            ratios = [float(row["delta_over_spread"]) for row in csv.DictReader(f)]
+        assert ratios == [0.5, float(value)]
+
+    @pytest.mark.parametrize(
+        "field", ["r_squared", "omega", "alpha_degrees", "nbar", "delta_spread", "grid_halfwidth"]
+    )
+    def test_negative_exponent_reaches_field_check(self, tmp_path, capsys, field):
+        flag = "--" + field.replace("_", "-")
+        assert main(["single-photon", flag, "-1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{field}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -285,15 +353,21 @@ class TestCompareClassical:
         assert not (tmp_path / "compare_classical.json").exists()
 
 
+# Any magnitude in 1e-300..1e300, of either sign.
+ANY_MAGNITUDE = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
 def extreme(values, typical):
-    """Mostly a typical draw, else one of the listed extreme values."""
-    return st.integers(0, 3).flatmap(lambda i: typical if i else st.sampled_from(values))
+    """Mostly a typical draw, else one of the listed extreme values or any magnitude."""
+    return st.integers(0, 3).flatmap(
+        lambda i: typical if i else st.sampled_from(values) | ANY_MAGNITUDE
+    )
 
 
 SCENARIO_FLAGS = {
     "r_squared": extreme([0.0, 0.5, 1.0, 1.5], st.floats(0.55, 0.95)),
     "omega": extreme([1e-9, 1e3, 1e8, 1e9], st.floats(0.01, 10.0)),
-    "alpha_degrees": st.floats(1.0, 89.0),
+    "alpha_degrees": extreme([0.0, 90.0], st.floats(1.0, 89.0)),
     "nbar": extreme([0.0, 1e19, 1e30], st.floats(1.0, 1e4)),
     "delta_spread": extreme([1e-10, 1e-9, 1e-3, 1e4], st.floats(0.1, 100.0)),
     "grid_points": st.integers(16, 4096),
@@ -314,7 +388,8 @@ def cli_argv(draw):
     for name, values in SCENARIO_FLAGS.items():
         value = draw(st.none() | values)
         if value is not None:
-            argv.append(f"--{name.replace('_', '-')}={value!r}")
+            flag = f"--{name.replace('_', '-')}"
+            argv += draw(st.sampled_from([[f"{flag}={value!r}"], [flag, repr(value)]]))
     if command == "decoherence" and draw(st.booleans()):
         argv += ["--ratios", *map(repr, draw(RATIOS))]
     return argv
@@ -350,7 +425,11 @@ class TestArgvProperty:
             d1, d2 = report["channels"]
             tol = 1e-8 * max(1.0, abs(kick))
             assert d1["probability"] == pytest.approx(p_d1, abs=tol)
-            assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol)
+            # A first moment over a grid of half-width H carries rounding of order eps*H.
+            config = report["config"]
+            half = config["grid_halfwidth"] or abs(kick) + 8.0 * config["delta_spread"]
+            rounding = 64.0 * sys.float_info.epsilon * half
+            assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol + rounding)
 
 
 class TestModuleEntryPoint:

@@ -86,8 +86,6 @@ class TestOpticalSetup:
         with pytest.raises(ConstraintViolationError):
             make_setup(omega=0.0)
         with pytest.raises(ConstraintViolationError):
-            OpticalSetup(BeamsplitterSpec.from_r_squared(0.75), 1.0, ALPHA_60, hbar=0.0)
-        with pytest.raises(ConstraintViolationError):
             make_setup(nbar=-1.0)
 
 
@@ -102,6 +100,15 @@ class TestCoupleReflection:
         joint = couple_with_kick(psi, pointer, 0.0)
         assert np.max(np.abs(joint.comp_a - psi.a * pointer.amplitudes)) == 0.0
         assert np.max(np.abs(joint.comp_b - psi.b * pointer.amplitudes)) == 0.0
+
+    @pytest.mark.parametrize("kick", [0.0, 0.3, -7.5])
+    def test_arms_hold_the_pointer_and_its_one_shift(self, setup, pointer, kick):
+        psi = intra_state(setup.bs)
+        joint = couple_with_kick(psi, pointer, kick)
+        assert joint.psi is psi and joint.arm_a is pointer
+        moved = shift(pointer, kick).amplitudes
+        assert joint.arm_b.amplitudes.tobytes() == moved.tobytes()  # bit for bit
+        assert joint.comp_b.tobytes() == (psi.b * moved).tobytes()
 
     def test_arm_b_component_is_kicked(self, setup, pointer):
         psi = intra_state(setup.bs)
