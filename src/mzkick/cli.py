@@ -314,18 +314,27 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_dumps(payload) + "\n")
 
 
-def _write_table(path: Path, fmt: str, key: str, header: list[str], rows) -> None:
-    """Write rows (tuples of Python numbers in header order) to path.csv, or to
-    path.json as objects under key; CSV rows are streamed, each number as its
-    repr, so floats keep full precision."""
+def _write_table(path: Path, fmt: str, key: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns (1-D arrays in header order) to path.csv, or to path.json
+    as row objects under key. Each CSV value is its repr, so floats keep full
+    precision; each distinct bit pattern is formatted once, which keeps -0.0
+    apart from 0.0."""
     if fmt == "csv":
-        line = ",".join(["%r"] * len(header)) + "\n"
-        with open(path.with_suffix(".csv"), "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            f.writelines(line % row for row in rows)
+        ends = [","] * (len(columns) - 1) + ["\n"]
+        body = np.concatenate([_csv_text(col, end) for col, end in zip(columns, ends)], axis=1)
+        with open(path.with_suffix(".csv"), "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            f.write(body[body != 0])
     else:
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
         _write_json(path.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, key: records})
+
+
+def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
+    """repr(value) + end for each entry of col, as the rows of a NUL-padded uint8 matrix."""
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    text = np.array([repr(v) + end for v in bits.view(col.dtype).tolist()], dtype=bytes)
+    return text[inverse].view(np.uint8).reshape(len(col), text.itemsize)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -389,14 +398,15 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(out_dir / "single_photon.json", report)
         elif args.command == "ensemble":
             report, records = run_ensemble(cfg)
-            rows = zip(range(len(records)), *(col.tolist() for col in records.columns))
             header = ["trial", "N", "n1", "n2", "momentum"]
-            _write_table(out_dir / "ensemble_records", args.fmt, "records", header, rows)
+            columns = [np.arange(len(records)), *records.columns]
+            _write_table(out_dir / "ensemble_records", args.fmt, "records", header, columns)
             _write_json(out_dir / "ensemble_summary.json", report)
         elif args.command == "decoherence":
             scan = run_decoherence_scan(cfg, list(args.ratios))
-            rows = (tuple(row.values()) for row in scan)
-            _write_table(out_dir / "decoherence_scan", args.fmt, "rows", list(scan[0]), rows)
+            header = list(scan[0])
+            columns = [np.array([row[name] for row in scan]) for name in header]
+            _write_table(out_dir / "decoherence_scan", args.fmt, "rows", header, columns)
             report = {"schema_version": SCHEMA_VERSION, "rows": scan}
         elif args.command == "compare-classical":
             report = run_compare_classical(cfg)

@@ -141,6 +141,7 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
     return RunTable(totals, d1, d2, d2 * kick2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def fluctuation_analysis(
     records: Sequence[RunRecord],
     conditional_on_total: bool = False,
@@ -184,6 +185,10 @@ def fluctuation_analysis(
         sxy += float(np.sum(dx * dy))
         sxx += float(np.sum(dx * dx))
         syy += float(np.sum(dy * dy))
+    if not all(map(math.isfinite, (sxx, syy, sxy, sxx * syy))):
+        raise ConstraintViolationError("the sums of squared deviations overflow the float range "
+                                       f"(momenta up to {float(np.max(np.abs(table.momentum)))}); "
+                                       "correlation undefined")
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
                                     "correlation undefined")

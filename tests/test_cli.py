@@ -24,6 +24,7 @@ from mzkick.cli import (
     EXIT_OK,
     ScenarioConfig,
     _build_parser,
+    _write_table,
     load_config,
     main,
     run_decoherence_scan,
@@ -430,6 +431,41 @@ class TestArgvProperty:
             half = config["grid_halfwidth"] or abs(kick) + 8.0 * config["delta_spread"]
             rounding = 64.0 * sys.float_info.epsilon * half
             assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol + rounding)
+
+
+# Signed zeros, subnormals and the ends of the float and int64 ranges, besides any value.
+TABLE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, sys.float_info.max]
+) | st.floats(allow_nan=False, allow_infinity=False)
+TABLE_INTS = st.sampled_from([0, -1, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def table_columns(draw):
+    """One to five float64 or int64 columns of equal length, each drawn from a small
+    pool of values so that most tables repeat values."""
+    rows = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        values, dtype = draw(st.sampled_from([(TABLE_FLOATS, np.float64), (TABLE_INTS, np.int64)]))
+        pool = draw(st.lists(values, min_size=1, max_size=8))
+        column = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+        columns.append(np.array(column, dtype=dtype))
+    return columns
+
+
+class TestWriteTable:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(table_columns())
+    def test_csv_matches_row_wise_repr(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        line = ",".join(["%r"] * len(columns)) + "\n"
+        rows = zip(*(col.tolist() for col in columns))
+        want = ",".join(header) + "\n" + "".join(line % row for row in rows)
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "table"
+            _write_table(path, "csv", "rows", header, columns)
+            assert path.with_suffix(".csv").read_bytes() == want.encode()
 
 
 class TestModuleEntryPoint:

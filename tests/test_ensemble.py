@@ -183,6 +183,22 @@ class TestFluctuationAnalysis:
         corr = fluctuation_analysis(records, classical_attribution=True)
         assert abs(corr - (-1.0)) < 1e-12  # momentum proportional to n1, negative kick
 
+    @pytest.mark.parametrize(
+        "mode", [{}, {"conditional_on_total": True}, {"classical_attribution": True}]
+    )
+    def test_large_kicks_keep_the_value_or_raise(self, mode):
+        # The statistic is scale-invariant until the sums of squares overflow.
+        table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
+
+        def with_kick(kick):
+            return RunTable(table.totals, table.d1, table.d2, table.d2 * kick)
+
+        reference = fluctuation_analysis(with_kick(-1.0), **mode)
+        assert fluctuation_analysis(with_kick(-1e140), **mode) == pytest.approx(reference, rel=1e-12)
+        for kick in (-1e152, -1e306):
+            with pytest.raises(ConstraintViolationError, match="overflow"):
+                fluctuation_analysis(with_kick(kick), **mode)
+
     def test_requires_thirty_records(self):
         records = sample_runs(make_setup(nbar=1e4), 10, seed=1)
         with pytest.raises(DegenerateSampleError):

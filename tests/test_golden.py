@@ -36,6 +36,9 @@ COMMANDS = {
     "ensemble": ["ensemble"],
     "decoherence": ["decoherence"],
     "decoherence-ratios": ["decoherence", "--ratios", "0", "0.3", "2.5"],
+    # In CSV the 0.0 row's d2_weak_kick reads -0.0 and the -0.0 row's 0.0, so a
+    # writer that merges values equal as floats fails here.
+    "decoherence-signed-zero": ["decoherence", "--ratios", "0.0", "-0.0", "0.5"],
     "compare-classical": ["compare-classical"],
 }
 
@@ -51,6 +54,10 @@ DIGESTS = {
     ("defaults", "decoherence-ratios"): {
         "<stdout>": "d61d7660f6fe814c15a8e9ecc5c1ee632b389c251383becda616f347817a4961",
         "decoherence_scan.csv": "7bfba93f18d3f8c8cf1ad7f78a7d20f0dcb17906bb0a942b161566c8b4684de8",
+    },
+    ("defaults", "decoherence-signed-zero"): {
+        "<stdout>": "ca59cf68282faabe486474b2b2663d6ff1a87d273a699c45260ddca91479c60f",
+        "decoherence_scan.csv": "a5098da532cfb54054a837f1aa696844cad7b2a36a31033c5e7212dc00926340",
     },
     ("defaults", "ensemble"): {
         "<stdout>": "3ee7ea49f28474cf74391df81915b4438cb49cc9cfbff6b68405d8bd7f6d428e",
@@ -73,6 +80,10 @@ DIGESTS = {
         "<stdout>": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
         "decoherence_scan.json": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
     },
+    ("json", "decoherence-signed-zero"): {
+        "<stdout>": "924e3e28f2293ab65a6f05ff1909a1dd3051c8d7669602288fab7f3c5a665d04",
+        "decoherence_scan.json": "924e3e28f2293ab65a6f05ff1909a1dd3051c8d7669602288fab7f3c5a665d04",
+    },
     ("json", "ensemble"): {
         "<stdout>": "2e32a7e9652a87803ca54fce295203041bb83f5ed5bf4e5b3c30bef9efa10551",
         "ensemble_records.json": "88d5310f817b6848163ed205e44bd2d504e3d00435fe28472cd60653c202e1fa",
@@ -93,6 +104,10 @@ DIGESTS = {
     ("reflective", "decoherence-ratios"): {
         "<stdout>": "726f3900564c8009a01851c3072150f3711d13bb4ac28a2852d9e80fc16b3d29",
         "decoherence_scan.csv": "d0cf4ae3e6f71b68c36a13cb76da1010df5cc187f773c8dc35dbf8b684831897",
+    },
+    ("reflective", "decoherence-signed-zero"): {
+        "<stdout>": "7846bcc53044821c24dcc6ab966ad2aa1257fda1c738f0d1481b7dbcdd877ad5",
+        "decoherence_scan.csv": "21f42b1ca0d0c1a831b53afa80474be8ab7a5402ebfd5628474632a028b8e66b",
     },
     ("reflective", "ensemble"): {
         "<stdout>": "cde726c04856f7d458c28158130ae324b1d3dcd4bbccc482035fb95c5dae9d95",
