@@ -2,8 +2,9 @@
 
 Scenarios come from an optional JSON config file plus flag overrides (flags
 win). Angles are taken in degrees at this boundary and converted to radians
-internally. All emitted JSON/CSV carries a schema_version field and full
-double precision, so outputs re-parse losslessly.
+internally. Every JSON document carries a schema_version field; CSV tables
+carry a header row only. Every number is written at full double precision,
+so outputs re-parse losslessly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .weak_measurement import (
     weak_value_PB,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -230,7 +231,8 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
     with np.errstate(over="ignore"):  # an overflowing momentum is inf, refused below
         records = sample_runs(setup, cfg.trials, cfg.seed)
     # The statistics square the momenta, sum them over the trials and multiply
-    # two such sums; the classical attribution scales momenta by up to trials.
+    # two such sums, whose product is at most (2*trials*N*peak)**2 for totals
+    # of at most N; this bound exceeds that by a factor (trials*N)**2.
     peak = float(abs(records.momentum).max())
     bound = 2.0 * (cfg.trials * int(records.totals.max())) ** 2 * peak
     if not (peak == 0.0 or _is_normal(peak * peak)) or not math.isfinite(bound * bound):
@@ -258,7 +260,6 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
         "d2_total_expected": report.d2_total,
         "correlation_unconditional": _corr(),
         "correlation_within_total": _corr(conditional_on_total=True),
-        "correlation_classical_attribution": _corr(classical_attribution=True),
     }
     return summary, records
 
@@ -314,11 +315,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_dumps(payload) + "\n")
 
 
-def _write_table(path: Path, fmt: str, key: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns (1-D arrays in header order) to path.csv, or to path.json
-    as row objects under key. Each CSV value is its repr, so floats keep full
-    precision; each distinct bit pattern is formatted once, which keeps -0.0
-    apart from 0.0."""
+def _write_table(path: Path, fmt: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns (1-D arrays in header order) to path.csv, or to path.json as
+    {"schema_version", "columns": {name: values}}. Every value is its repr, so -0.0
+    stays -0.0; CSV formats each distinct bit pattern once, and JSON is unindented
+    so that the C encoder writes it."""
     if fmt == "csv":
         ends = [","] * (len(columns) - 1) + ["\n"]
         body = np.concatenate([_csv_text(col, end) for col, end in zip(columns, ends)], axis=1)
@@ -326,8 +327,9 @@ def _write_table(path: Path, fmt: str, key: str, header: list[str], columns: lis
             f.write((",".join(header) + "\n").encode())
             f.write(body[body != 0])
     else:
-        records = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
-        _write_json(path.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, key: records})
+        table = {"schema_version": SCHEMA_VERSION,
+                 "columns": {name: col.tolist() for name, col in zip(header, columns)}}
+        path.with_suffix(".json").write_text(json.dumps(table, allow_nan=False) + "\n")
 
 
 def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
@@ -400,13 +402,13 @@ def main(argv: list[str] | None = None) -> int:
             report, records = run_ensemble(cfg)
             header = ["trial", "N", "n1", "n2", "momentum"]
             columns = [np.arange(len(records)), *records.columns]
-            _write_table(out_dir / "ensemble_records", args.fmt, "records", header, columns)
+            _write_table(out_dir / "ensemble_records", args.fmt, header, columns)
             _write_json(out_dir / "ensemble_summary.json", report)
         elif args.command == "decoherence":
             scan = run_decoherence_scan(cfg, list(args.ratios))
             header = list(scan[0])
             columns = [np.array([row[name] for row in scan]) for name in header]
-            _write_table(out_dir / "decoherence_scan", args.fmt, "rows", header, columns)
+            _write_table(out_dir / "decoherence_scan", args.fmt, header, columns)
             report = {"schema_version": SCHEMA_VERSION, "rows": scan}
         elif args.command == "compare-classical":
             report = run_compare_classical(cfg)

@@ -142,11 +142,7 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
-def fluctuation_analysis(
-    records: Sequence[RunRecord],
-    conditional_on_total: bool = False,
-    classical_attribution: bool = False,
-) -> float:
+def fluctuation_analysis(records: Sequence[RunRecord], conditional_on_total: bool = False) -> float:
     """Pearson correlation between the D1 count and the mirror momentum.
 
     Because the momentum rides on D2 photons alone and the per-photon kick is
@@ -156,20 +152,17 @@ def fluctuation_analysis(
     counts are independent, so the unconditional correlation vanishes.
 
     conditional_on_total pools the correlation within groups of equal total
-    photon number (the fixed-total reading). classical_attribution is a
-    documented contrast mode: it reattaches the sample-mean momentum to the
-    D1 counts proportionally, as the classical story would suggest, which
-    flips the correlation negative.
+    photon number (the fixed-total reading).
     """
     if len(records) < 30:
         raise DegenerateSampleError(f"need at least 30 records, got {len(records)}")
     table = RunTable.from_records(records)
     n1 = table.d1.astype(float)
     mom = np.asarray(table.momentum, dtype=float)
-    if classical_attribution:
-        if n1.mean() == 0.0:
-            raise DegenerateSampleError("no D1 counts to attribute momentum to")
-        mom = n1 * (mom.mean() / n1.mean())
+    peak = float(np.max(np.abs(mom)))
+    if peak != 0.0 and peak * peak < np.finfo(float).tiny:
+        raise ConstraintViolationError(f"momenta up to {peak} square below the normal float range "
+                                       "(underflow); correlation undefined")
     starts = [0]  # one group: the plain Pearson correlation
     if conditional_on_total:
         # A stable sort makes each total's runs one slice in trial order: the
@@ -187,8 +180,7 @@ def fluctuation_analysis(
         syy += float(np.sum(dy * dy))
     if not all(map(math.isfinite, (sxx, syy, sxy, sxx * syy))):
         raise ConstraintViolationError("the sums of squared deviations overflow the float range "
-                                       f"(momenta up to {float(np.max(np.abs(table.momentum)))}); "
-                                       "correlation undefined")
+                                       f"(momenta up to {peak}); correlation undefined")
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
                                     "correlation undefined")

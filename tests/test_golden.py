@@ -44,79 +44,79 @@ COMMANDS = {
 
 DIGESTS = {
     ("defaults", "compare-classical"): {
-        "<stdout>": "0c1762523dfc29c859152d89b9ed482a0e50cf7fbb0b937f29a9353be70e1c77",
-        "compare_classical.json": "0c1762523dfc29c859152d89b9ed482a0e50cf7fbb0b937f29a9353be70e1c77",
+        "<stdout>": "c842cf8443502ca3891d9b9bec6539c2c51e12f2f735b9a3f054a663d5000910",
+        "compare_classical.json": "c842cf8443502ca3891d9b9bec6539c2c51e12f2f735b9a3f054a663d5000910",
     },
     ("defaults", "decoherence"): {
-        "<stdout>": "33e4a8b927b45ab720cbc9fab25f73d486bbd034aeecfd680af38d3586d3ee96",
+        "<stdout>": "cb3241193634eb768a1e5fbe65b6a378bfe93b88f02aad6cf60998b61a04bf19",
         "decoherence_scan.csv": "c3e364fc5b93f7048616f7d76cac11fc76d58fca7010e2ce967bc9bbadaeb031",
     },
     ("defaults", "decoherence-ratios"): {
-        "<stdout>": "d61d7660f6fe814c15a8e9ecc5c1ee632b389c251383becda616f347817a4961",
+        "<stdout>": "9eab982847e403d48e14530b96a7abac9e24e0c5b1e44cd3fcc2caeca8a67f75",
         "decoherence_scan.csv": "7bfba93f18d3f8c8cf1ad7f78a7d20f0dcb17906bb0a942b161566c8b4684de8",
     },
     ("defaults", "decoherence-signed-zero"): {
-        "<stdout>": "ca59cf68282faabe486474b2b2663d6ff1a87d273a699c45260ddca91479c60f",
+        "<stdout>": "e02665158ae84d29d47a514c231dd9109fbaf46ba6054aafe9d3779ae29cb4d6",
         "decoherence_scan.csv": "a5098da532cfb54054a837f1aa696844cad7b2a36a31033c5e7212dc00926340",
     },
     ("defaults", "ensemble"): {
-        "<stdout>": "3ee7ea49f28474cf74391df81915b4438cb49cc9cfbff6b68405d8bd7f6d428e",
+        "<stdout>": "9ceb262f4cc2c5b03f51b99668a124a954a8a1fd1a341b2e6b497dd3ead54e5f",
         "ensemble_records.csv": "b71951b3ccdf737935f847fe6548cb1bd5dfa745bbb96b2e4a12fd823e851b05",
-        "ensemble_summary.json": "3ee7ea49f28474cf74391df81915b4438cb49cc9cfbff6b68405d8bd7f6d428e",
+        "ensemble_summary.json": "9ceb262f4cc2c5b03f51b99668a124a954a8a1fd1a341b2e6b497dd3ead54e5f",
     },
     ("defaults", "single-photon"): {
-        "<stdout>": "ce5fa9890cca89373633cefc5a8fb1fa23890c14a91df5ebefce01c2019a8fb7",
-        "single_photon.json": "ce5fa9890cca89373633cefc5a8fb1fa23890c14a91df5ebefce01c2019a8fb7",
+        "<stdout>": "acb1151c32c9673b1f7252202571644ca9c251fcf9fdd72203fa3a5baa043f2b",
+        "single_photon.json": "acb1151c32c9673b1f7252202571644ca9c251fcf9fdd72203fa3a5baa043f2b",
     },
     ("json", "compare-classical"): {
-        "<stdout>": "685704f39e5bff1e0a260e2959a02f4a3e9a16f02f9a675506dd749d81cc2c63",
-        "compare_classical.json": "685704f39e5bff1e0a260e2959a02f4a3e9a16f02f9a675506dd749d81cc2c63",
+        "<stdout>": "e745395b09f37d51ec496a83f0159339f5502dc2756b51174a712cc7149e5808",
+        "compare_classical.json": "e745395b09f37d51ec496a83f0159339f5502dc2756b51174a712cc7149e5808",
     },
     ("json", "decoherence"): {
-        "<stdout>": "d61f7fc4091bbb79b77c8a146265391b4677a15017e2313d0bf23be31811f746",
-        "decoherence_scan.json": "d61f7fc4091bbb79b77c8a146265391b4677a15017e2313d0bf23be31811f746",
+        "<stdout>": "1babb926d4b19112d4c56a5208f8d254ae6637a6935b295ae9985126a6873b92",
+        "decoherence_scan.json": "bc31bbb58d405ac7f2e207d1084d8749ce9b9e7e89a673af5f6be75eb6b33ad2",
     },
     ("json", "decoherence-ratios"): {
-        "<stdout>": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
-        "decoherence_scan.json": "a1398e1664c2b538acb35db80d565b111af147ac09c8d8529be4acf46c3ce9bd",
+        "<stdout>": "c44e34f51c915b54fe5598ee371bbbc744cc9249730122643d1a29031aed4c0b",
+        "decoherence_scan.json": "53fb02180327acfdede47c931ab17f175d632e982eb312893a5315184acdeca5",
     },
     ("json", "decoherence-signed-zero"): {
-        "<stdout>": "924e3e28f2293ab65a6f05ff1909a1dd3051c8d7669602288fab7f3c5a665d04",
-        "decoherence_scan.json": "924e3e28f2293ab65a6f05ff1909a1dd3051c8d7669602288fab7f3c5a665d04",
+        "<stdout>": "d54527c8a4652b111001bf634ded30f68cf84e9389205812b93d52318c225348",
+        "decoherence_scan.json": "07225d6219efe2b5de394177ed7ce6ba3cb126fce8a7ce3011c87a21c44a1a58",
     },
     ("json", "ensemble"): {
-        "<stdout>": "2e32a7e9652a87803ca54fce295203041bb83f5ed5bf4e5b3c30bef9efa10551",
-        "ensemble_records.json": "88d5310f817b6848163ed205e44bd2d504e3d00435fe28472cd60653c202e1fa",
-        "ensemble_summary.json": "2e32a7e9652a87803ca54fce295203041bb83f5ed5bf4e5b3c30bef9efa10551",
+        "<stdout>": "bee420fa921563c4ee169be81090c9687b2a79caa82727eee5fcafe6c76cf151",
+        "ensemble_records.json": "f100f65a658bebdd092ac4539436cb543a6e70a7b0c96463ec516b99d53ed2ff",
+        "ensemble_summary.json": "bee420fa921563c4ee169be81090c9687b2a79caa82727eee5fcafe6c76cf151",
     },
     ("json", "single-photon"): {
-        "<stdout>": "e607d903ebc9aefe0fcbc8413f675d448094758df8592f7150fbdedd13e5c2cb",
-        "single_photon.json": "e607d903ebc9aefe0fcbc8413f675d448094758df8592f7150fbdedd13e5c2cb",
+        "<stdout>": "8eecb6a6787cc1cf15a67ba73f96fd0e845553503ffac67cbf882070f8b6c225",
+        "single_photon.json": "8eecb6a6787cc1cf15a67ba73f96fd0e845553503ffac67cbf882070f8b6c225",
     },
     ("reflective", "compare-classical"): {
-        "<stdout>": "ed113afb1dbc6dbb1839609c31bb36c4a7fa3c0cd9170698aa14e89b2881b58b",
-        "compare_classical.json": "ed113afb1dbc6dbb1839609c31bb36c4a7fa3c0cd9170698aa14e89b2881b58b",
+        "<stdout>": "18d6c34cfa3b2cdb05d22fff5008ec7fbfccb747b92aba6f91c7659444a16c8d",
+        "compare_classical.json": "18d6c34cfa3b2cdb05d22fff5008ec7fbfccb747b92aba6f91c7659444a16c8d",
     },
     ("reflective", "decoherence"): {
-        "<stdout>": "5a9679f5d3b0622426f9a211a8c84c19d6983e57114b5cd5162dd72d21814c35",
+        "<stdout>": "09c1a3dcba02304f0533c87840ddf5668b372e2e045b1a963771c8d5fb5d5c20",
         "decoherence_scan.csv": "cf6aae9704ba8da015e1f7aa8566627b8af0a1fce20c829bf43597cb452dfe02",
     },
     ("reflective", "decoherence-ratios"): {
-        "<stdout>": "726f3900564c8009a01851c3072150f3711d13bb4ac28a2852d9e80fc16b3d29",
+        "<stdout>": "33c733dc40441bb8e227c6e55ccab4d205ee1e3b541ab1246273eb57be36ee70",
         "decoherence_scan.csv": "d0cf4ae3e6f71b68c36a13cb76da1010df5cc187f773c8dc35dbf8b684831897",
     },
     ("reflective", "decoherence-signed-zero"): {
-        "<stdout>": "7846bcc53044821c24dcc6ab966ad2aa1257fda1c738f0d1481b7dbcdd877ad5",
+        "<stdout>": "5abf962effae5398e01a51f6c39aeafc908d6a1b2dfb21dec6d00cc968434287",
         "decoherence_scan.csv": "21f42b1ca0d0c1a831b53afa80474be8ab7a5402ebfd5628474632a028b8e66b",
     },
     ("reflective", "ensemble"): {
-        "<stdout>": "cde726c04856f7d458c28158130ae324b1d3dcd4bbccc482035fb95c5dae9d95",
+        "<stdout>": "388d11d83417089d567f533759e4ad4459f0fb1207756bda610f330579149cfa",
         "ensemble_records.csv": "d664525c8477205d9e691cadf316f6280fdfbbbd635539b86b39ddcdc1dfc4a2",
-        "ensemble_summary.json": "cde726c04856f7d458c28158130ae324b1d3dcd4bbccc482035fb95c5dae9d95",
+        "ensemble_summary.json": "388d11d83417089d567f533759e4ad4459f0fb1207756bda610f330579149cfa",
     },
     ("reflective", "single-photon"): {
-        "<stdout>": "4c7829b0b0587410cc79a69fd9ee8c983ef881b96714afd9517ce97fe2710341",
-        "single_photon.json": "4c7829b0b0587410cc79a69fd9ee8c983ef881b96714afd9517ce97fe2710341",
+        "<stdout>": "5ba28f52d62c2082e23d436b065adf56eb3d211599ea727acc5a0f6a06db366e",
+        "single_photon.json": "5ba28f52d62c2082e23d436b065adf56eb3d211599ea727acc5a0f6a06db366e",
     },
 }
 
@@ -124,7 +124,7 @@ DIGESTS = {
 # About 600 distinct Poisson totals, so the within-total correlation pools
 # many groups; captured like DIGESTS.
 MANY_GROUPS = ["ensemble", "--nbar", "10000", "--trials", "20000", "--seed", "5"]
-MANY_GROUPS_SUMMARY = "df7600d6555227a5870b888c442e4a2e71c672a503263f6bbf624345d28f4d89"
+MANY_GROUPS_SUMMARY = "3b45e3398575efce38aba52674f4db6113ed2f2dfd22bfd40778393556b15cf4"
 MANY_GROUPS_DIGESTS = {
     "csv": {
         "<stdout>": MANY_GROUPS_SUMMARY,
@@ -133,7 +133,7 @@ MANY_GROUPS_DIGESTS = {
     },
     "json": {
         "<stdout>": MANY_GROUPS_SUMMARY,
-        "ensemble_records.json": "e9f18229fedf187a9d82962b62f2a1ad3692a05466fa85bd266fcc3b07af118c",
+        "ensemble_records.json": "eb172be3a7d9b6f0ab26cbdf0dfabe615a63034d39d516b91cb7d500cde20f3c",
         "ensemble_summary.json": MANY_GROUPS_SUMMARY,
     },
 }
