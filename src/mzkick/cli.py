@@ -22,7 +22,7 @@ import numpy as np
 from .ensemble import POISSON_NBAR_MAX, RunTable, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
-from .pointer import MomentumGrid, default_grid, gaussian_pointer, overlap
+from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_grid, gaussian_pointer, overlap
 from .weak_measurement import (
     OpticalSetup,
     couple_with_kick,
@@ -58,7 +58,7 @@ class ScenarioConfig:
     alpha_degrees: float = 60.0
     nbar: float = 100.0
     delta_spread: float = 10.0
-    grid_points: int = 4096
+    grid_points: int = DEFAULT_GRID_POINTS
     grid_halfwidth: float = 0.0  # 0 means: size the grid automatically
     seed: int = 7
     trials: int = 1000
@@ -232,9 +232,9 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
         records = sample_runs(setup, cfg.trials, cfg.seed)
     # The statistics square the momenta, sum them over the trials and multiply
     # two such sums, whose product is at most (2*trials*N*peak)**2 for totals
-    # of at most N; this bound exceeds that by a factor (trials*N)**2.
+    # of at most N.
     peak = float(abs(records.momentum).max())
-    bound = 2.0 * (cfg.trials * int(records.totals.max())) ** 2 * peak
+    bound = 2.0 * cfg.trials * int(records.totals.max()) * peak
     if not (peak == 0.0 or _is_normal(peak * peak)) or not math.isfinite(bound * bound):
         raise ConfigError(f"omega: run momenta up to {peak} leave the float range of the statistics")
     sample_mean = float(records.momentum.mean())
@@ -385,15 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        overrides = {name: getattr(args, name) for name in FIELD_TYPES}
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     out_dir: Path = args.out
     try:
+        cfg = load_config(args.config, {name: getattr(args, name) for name in FIELD_TYPES})
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "single-photon":
             report = run_single_photon(cfg)
@@ -421,7 +415,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
-
-
-def run() -> None:
-    raise SystemExit(main())

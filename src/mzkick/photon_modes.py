@@ -61,9 +61,9 @@ class ModeAmplitudes:
     def norm_squared(self) -> float:
         return abs(self.a) ** 2 + abs(self.b) ** 2
 
-    def require_normalized(self, tol: float = IDENTITY_TOL) -> None:
+    def require_normalized(self) -> None:
         nsq = self.norm_squared()
-        if abs(nsq - 1.0) > tol:
+        if abs(nsq - 1.0) > IDENTITY_TOL:
             raise ConstraintViolationError(f"amplitudes not normalized: |a|^2 + |b|^2 = {nsq!r}")
 
 

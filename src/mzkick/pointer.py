@@ -92,9 +92,9 @@ class PointerState:
     def norm_squared(self) -> float:
         return float(np.trapezoid(self.density(), self.grid.points))
 
-    def require_normalized(self, tol: float = 1e-8) -> None:
+    def require_normalized(self) -> None:
         nsq = self.norm_squared()
-        if abs(nsq - 1.0) > tol:
+        if abs(nsq - 1.0) > 1e-8:
             raise ConstraintViolationError(f"pointer state not normalized: integral = {nsq!r}")
 
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -192,6 +193,15 @@ class TestEnsemble:
         assert summary["standard_error"] is None
         assert summary["correlation_unconditional"] is None
         assert strict_loads(capsys.readouterr().out) == summary
+
+    def test_large_momenta_within_the_statistics_range_succeed(self, tmp_path, capsys):
+        # momenta near 1e143: every sum of squares the statistics form stays finite
+        argv = ["ensemble", "--omega", "1e140", "--nbar", "1e4", "--trials", "1000"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        summary = read_json(tmp_path / "ensemble_summary.json")
+        assert strict_loads(capsys.readouterr().out) == summary
+        assert abs(summary["correlation_within_total"] - 1.0) < 1e-12
+        assert abs(summary["correlation_unconditional"]) < 0.2
 
 
 class TestDecoherence:
@@ -521,3 +531,13 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_console_script_target(self, tmp_path, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["mzkick"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
+        assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
