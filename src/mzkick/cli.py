@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -178,18 +179,23 @@ def _expected_totals(setup: OpticalSetup):
 
 
 def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]):
-    """Both weak values, the pointer, then each kick's arm_b pointer and (D1, D2) post-selections.
+    """Both weak values, the pointer, then each kick's arm_b pointer and the
+    (probability, mean_kick) of D1 and of D2.
 
     Builds the states and one Gaussian pointer on a grid sized for the largest
     |kick|. The weak values come before any grid work, so a forbidden channel
-    raises first; the returned iterator couples and post-selects as it is read.
+    raises first; the returned iterator couples and post-selects as it is read,
+    and drops each conditional pointer before building the next.
     """
     psi = intra_state(setup.bs)
     phis = [detector_state(setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
     pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
-    return weak, pointer, ((joint.arm_b, *(postselect(joint, phi) for phi in phis)) for joint in joints)
+    stats = attrgetter("probability", "mean_kick")
+    return weak, pointer, (
+        (joint.arm_b, *(stats(postselect(joint, phi)) for phi in phis)) for joint in joints
+    )
 
 
 def run_single_photon(cfg: ScenarioConfig) -> dict:
@@ -197,18 +203,20 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
     setup = cfg.to_setup()
     kick1 = net_kick_d1(setup)
     kick2 = net_kick_d2(setup)  # raises ZeroOverlapError naming D2 at r = t
-    (wv1, wv2), _, [(_, res1, res2)] = _exact_channels(cfg, setup, [setup.delta_kick])
+    (wv1, wv2), _, [(_, d1, d2)] = _exact_channels(cfg, setup, [setup.delta_kick])
 
     channels = [
         {
             "channel": channel,
-            "probability": res.probability,
-            "mean_kick": res.mean_kick,
+            "probability": probability,
+            "mean_kick": mean_kick,
             "weak_value_re": wv.real,
             "weak_value_im": wv.imag,
             "net_kick": kick,
         }
-        for channel, res, wv, kick in ((CHANNEL_D1, res1, wv1, kick1), (CHANNEL_D2, res2, wv2, kick2))
+        for channel, (probability, mean_kick), wv, kick in (
+            (CHANNEL_D1, d1, wv1, kick1), (CHANNEL_D2, d2, wv2, kick2)
+        )
     ]
     return {
         "schema_version": SCHEMA_VERSION,
@@ -281,12 +289,13 @@ def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float
         {
             "delta_over_spread": ratio,
             "visibility": abs(overlap(pointer, arm_b)),
-            "p_d1": res1.probability,
-            "p_d2": res2.probability,
-            "d2_mean_kick": res2.mean_kick,
+            "p_d1": p_d1,
+            "p_d2": p_d2,
+            "d2_mean_kick": d2_mean_kick,
             "d2_weak_kick": wv2.real * delta,
         }
-        for ratio, delta, (arm_b, res1, res2) in zip(delta_over_spread_list, kicks, results)
+        for ratio, delta, (arm_b, (p_d1, _), (p_d2, d2_mean_kick))
+        in zip(delta_over_spread_list, kicks, results)
     ]
 
 

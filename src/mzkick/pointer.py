@@ -9,7 +9,7 @@ spectrally accurate once the tails are dead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +49,18 @@ class MomentumGrid:
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """The n - 1 interval widths np.diff(points)."""
+        w = np.diff(self.points)
+        w.flags.writeable = False
+        return w
+
+    def integrate(self, y: np.ndarray) -> np.inexact:
+        """Trapezoidal integral of samples y over the grid; the same expression,
+        and so the same bits, as np.trapezoid(y, points)."""
+        return (self.widths * (y[1:] + y[:-1]) / 2.0).sum()
+
 
 def default_grid(
     delta_spread: float, max_shift: float = 0.0, n: int = DEFAULT_GRID_POINTS
@@ -61,15 +73,25 @@ def default_grid(
     return MomentumGrid(-half, half, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerState:
-    """Complex wavefunction samples phi(p_k) on a momentum grid."""
+    """Complex wavefunction samples phi(p_k) on a momentum grid.
+
+    The amplitudes are read-only. A read-only array that owns its data is
+    adopted as it is, so its maker hands it over and writes it no more; any
+    other array (writeable, or a view of another array) is copied. The peak
+    density and the norm are computed once per state. States compare and hash
+    by identity.
+    """
 
     grid: MomentumGrid
     amplitudes: np.ndarray
+    peak: float = field(init=False, repr=False)  # peak density max |phi(p_k)|^2
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
+        amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amp.flags.writeable or not amp.flags.owndata:
+            amp = amp.copy()
         if amp.shape != (self.grid.n,):
             raise ConstraintViolationError(
                 f"amplitudes shape {amp.shape} does not match grid with n={self.grid.n}"
@@ -85,12 +107,17 @@ class PointerState:
             )
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "peak", peak)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
     def norm_squared(self) -> float:
-        return float(np.trapezoid(self.density(), self.grid.points))
+        return self._norm_squared
+
+    @cached_property
+    def _norm_squared(self) -> float:
+        return float(self.grid.integrate(self.density()))
 
     def require_normalized(self) -> None:
         nsq = self.norm_squared()
@@ -120,7 +147,8 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
         )
     p = grid.points
     amp = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread)).astype(np.complex128)
-    amp /= math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, p)))
+    amp /= math.sqrt(float(grid.integrate(np.abs(amp) ** 2)))
+    amp.flags.writeable = False
     return PointerState(grid, amp)
 
 
@@ -136,34 +164,40 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
         return state
     grid = state.grid
     span = grid.p_max - grid.p_min
-    if abs(delta_kick) >= span:
+    if not abs(delta_kick) < span:  # also refuses nan
         raise GridCoverageError(f"shift {delta_kick} exceeds the grid span {span}")
-    p = grid.points
-    dens = state.density()
-    peak = float(dens.max())
-    if delta_kick > 0.0:
-        wrap = dens[p > grid.p_max - delta_kick]
-    else:
-        wrap = dens[p < grid.p_min - delta_kick]
-    if wrap.size and float(wrap.max()) >= TAIL_DENSITY_RATIO * peak:
+    wrap = np.abs(state.amplitudes[_wrap_band(grid, delta_kick)]) ** 2
+    if wrap.size and float(wrap.max()) >= TAIL_DENSITY_RATIO * state.peak:
         raise GridCoverageError(
             f"shift by {delta_kick} would push significant density off-grid"
         )
-    freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
-    moved = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * delta_kick))
-    return PointerState(grid, moved)
+    phase = -2j * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    phase *= delta_kick
+    # The spectrum stays the left operand: F *= P gives the bits of F * P,
+    # which P * F need not (fused multiply-add).
+    spectrum = np.fft.fft(state.amplitudes)
+    spectrum *= np.exp(phase, out=phase)
+    np.fft.ifft(spectrum, out=spectrum)
+    spectrum.flags.writeable = False
+    return PointerState(grid, spectrum)
+
+
+def _wrap_band(grid: MomentumGrid, delta_kick: float) -> slice:
+    """The samples a shift by delta_kick carries past the far edge: those with
+    p > p_max - delta_kick for a positive kick, p < p_min - delta_kick otherwise."""
+    if delta_kick > 0.0:
+        return slice(int(np.searchsorted(grid.points, grid.p_max - delta_kick, side="right")), None)
+    return slice(0, int(np.searchsorted(grid.points, grid.p_min - delta_kick, side="left")))
 
 
 def mean_momentum(state: PointerState) -> float:
     """First moment of the momentum density of a normalized state."""
     state.require_normalized()
-    p = state.grid.points
-    return float(np.trapezoid(p * state.density(), p))
+    return float(state.grid.integrate(state.grid.points * state.density()))
 
 
 def overlap(s1: PointerState, s2: PointerState) -> complex:
     """Inner product <phi1|phi2> of two states on the same grid."""
     if s1.grid != s2.grid:
         raise GridMismatchError(f"grids differ: {s1.grid} vs {s2.grid}")
-    p = s1.grid.points
-    return complex(np.trapezoid(np.conj(s1.amplitudes) * s2.amplitudes, p))
+    return complex(s1.grid.integrate(np.conj(s1.amplitudes) * s2.amplitudes))

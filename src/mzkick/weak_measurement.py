@@ -146,12 +146,14 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     """
     cond = phi_post.a.conjugate() * joint.comp_a + phi_post.b.conjugate() * joint.comp_b
     grid = joint.arm_a.grid
-    probability = float(np.trapezoid(np.abs(cond) ** 2, grid.points))
+    probability = float(grid.integrate(np.abs(cond) ** 2))
     if probability < ZERO_OVERLAP_TOL:
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
-    conditional = PointerState(grid, cond / math.sqrt(probability))
+    cond /= math.sqrt(probability)
+    cond.flags.writeable = False
+    conditional = PointerState(grid, cond)
     return PostselectionResult(
         probability=probability,
         conditional_pointer=conditional,

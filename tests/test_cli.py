@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from mzkick.cli import (
     load_config,
     main,
     run_decoherence_scan,
+    run_single_photon,
 )
 from mzkick.errors import ConfigError
 
@@ -125,6 +127,20 @@ class TestSinglePhoton:
         assert code == EXIT_CONFIG
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "single_photon.json").exists()
+
+    def test_peak_memory_on_a_wide_grid(self):
+        # The pointer, its shifted copy, the grid points and widths, and the
+        # post-selection's working arrays: about 5 complex grid arrays, with no
+        # copy of a fresh array and no conditional pointer kept for the next.
+        n = 2**18
+        cfg = ScenarioConfig(grid_points=n)
+        tracemalloc.start()
+        try:
+            run_single_photon(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 16 * n, f"peak {peak / (16 * n):.2f} complex grid arrays"
 
     def test_coarse_grid_names_spacing(self, tmp_path, capsys):
         code = main(["single-photon", "--grid-points", "16", "--out", str(tmp_path)])

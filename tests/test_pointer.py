@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mzkick.errors import ConstraintViolationError, GridCoverageError, GridMismatchError
 from mzkick.pointer import (
+    TAIL_DENSITY_RATIO,
     MomentumGrid,
     PointerState,
+    _wrap_band,
     default_grid,
     gaussian_pointer,
     mean_momentum,
@@ -55,6 +58,40 @@ class TestMomentumGrid:
         assert g.p_max == pytest.approx(40.0 + 8.0 * SPREAD)
         assert g.n == 4096
 
+    def test_widths_are_read_only(self, grid):
+        assert np.array_equal(grid.widths, np.diff(grid.points))
+        assert grid.widths is grid.widths
+        with pytest.raises(ValueError):
+            grid.widths[0] = 1.0
+
+
+# Samples the trapezoidal rule must carry through unchanged: signed zeros,
+# subnormals, and values up to 1e100 (so that no sum overflows).
+SPECIAL_SAMPLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.0e-308, 1e100, -1e100])
+SAMPLES = st.one_of(SPECIAL_SAMPLES, st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=True))
+
+
+@st.composite
+def grid_and_samples(draw):
+    n = draw(st.integers(min_value=16, max_value=4096))
+    half = draw(st.floats(min_value=1e-150, max_value=1e150))
+    real = draw(arrays(np.float64, n, elements=SAMPLES))
+    if draw(st.booleans()):
+        return MomentumGrid(-half, half, n), real
+    y = real.astype(np.complex128)
+    y.imag = draw(arrays(np.float64, n, elements=SAMPLES))
+    return MomentumGrid(-half, half, n), y
+
+
+class TestIntegrate:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_samples())
+    def test_bit_identical_to_numpy_trapezoid(self, case):
+        grid, y = case
+        got, want = grid.integrate(y), np.trapezoid(y, grid.points)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestGaussianPointer:
     def test_normalized_with_zero_mean(self, gauss):
@@ -80,6 +117,50 @@ class TestGaussianPointer:
         amp = np.exp(-np.linspace(-5, 5, 64) ** 2 / 200.0)  # spread 10: tails alive
         with pytest.raises(GridCoverageError):
             PointerState(g, amp)
+
+
+class TestPointerStateIdentity:
+    def test_states_compare_and_hash_by_identity(self, gauss):
+        moved = shift(gauss, 1.0)
+        assert (gauss == moved) is False
+        assert gauss == gauss
+        assert hash(gauss) != hash(moved)
+        assert len({gauss, moved, gauss}) == 2
+
+    def test_peak_is_the_maximum_density(self, gauss):
+        assert gauss.peak == float(np.max(gauss.density()))
+
+
+def gaussian_samples(grid):
+    amp = np.exp(-(grid.points**2) / (2.0 * SPREAD**2)).astype(np.complex128)
+    amp /= math.sqrt(np.trapezoid(np.abs(amp) ** 2, grid.points))
+    return amp
+
+
+class TestPointerStateAdoption:
+    def test_adopts_read_only_array_that_owns_its_data(self, grid):
+        arr = gaussian_samples(grid)
+        arr.flags.writeable = False
+        assert PointerState(grid, arr).amplitudes is arr
+
+    @pytest.mark.parametrize("source", ["writeable", "read-only view"])
+    def test_copies_and_ignores_later_writes(self, grid, source):
+        base = gaussian_samples(grid)
+        original = base.copy()
+        arr = base
+        if source == "read-only view":
+            arr = base[:]
+            arr.flags.writeable = False
+        state = PointerState(grid, arr)
+        assert state.amplitudes is not arr
+        assert not np.shares_memory(state.amplitudes, base)
+        base *= 3.0
+        assert np.array_equal(state.amplitudes, original)
+        assert state.norm_squared() == float(np.trapezoid(np.abs(original) ** 2, grid.points))
+
+    def test_amplitudes_are_read_only(self, gauss):
+        with pytest.raises(ValueError):
+            gauss.amplitudes[0] = 1.0
 
 
 class TestShift:
@@ -144,6 +225,95 @@ class TestShift:
             moved = shift(state, delta)
             assert moved.norm_squared() == pytest.approx(1.0, abs=1e-10)
             assert mean_momentum(moved) - mean_momentum(state) == pytest.approx(delta, abs=1e-8)
+
+
+def parent_shift(state: PointerState, delta_kick: float) -> PointerState:
+    """shift as first written, with boolean wrap masks over a full density and
+    out-of-place transforms: the reference for the wrap band."""
+    if delta_kick == 0.0:
+        return state
+    grid = state.grid
+    span = grid.p_max - grid.p_min
+    if abs(delta_kick) >= span:
+        raise GridCoverageError(f"shift {delta_kick} exceeds the grid span {span}")
+    p = grid.points
+    dens = state.density()
+    peak = float(dens.max())
+    if delta_kick > 0.0:
+        wrap = dens[p > grid.p_max - delta_kick]
+    else:
+        wrap = dens[p < grid.p_min - delta_kick]
+    if wrap.size and float(wrap.max()) >= TAIL_DENSITY_RATIO * peak:
+        raise GridCoverageError(f"shift by {delta_kick} would push significant density off-grid")
+    freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
+    moved = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * delta_kick))
+    return PointerState(grid, moved)
+
+
+def parent_mask(grid: MomentumGrid, delta_kick: float) -> np.ndarray:
+    p = grid.points
+    return p > grid.p_max - delta_kick if delta_kick > 0.0 else p < grid.p_min - delta_kick
+
+
+def box_state(grid: MomentumGrid) -> PointerState:
+    """Unit density on the middle half of the grid and none elsewhere, so the
+    wrap check turns on whether one sample is in the band."""
+    amp = np.zeros(grid.n, dtype=np.complex128)
+    amp[grid.n // 4 : 3 * grid.n // 4] = 1.0
+    return PointerState(grid, amp)
+
+
+def boundary_kicks(grid: MomentumGrid) -> list[float]:
+    """Exact multiples of the spacing, and kicks that put the band edge on a
+    grid point or one ulp either side of it, both signs."""
+    p = grid.points
+    kicks = [k * grid.spacing for k in range(1, grid.n - 1)]
+    kicks += [grid.p_max - x for x in p[1:]] + [grid.p_min - x for x in p[:-1]]
+    kicks += [np.nextafter(k, s) for k in kicks[: grid.n] for s in (-np.inf, np.inf)]
+    kicks = [float(k) for k in kicks if k != 0.0]
+    return kicks + [-k for k in kicks]
+
+
+class TestWrapBand:
+    @pytest.mark.parametrize("grid", [MomentumGrid(-120.0, 120.0, 256), MomentumGrid(-0.3, 0.7, 101)],
+                             ids=["symmetric", "offset"])
+    def test_band_equals_parent_masks(self, grid):
+        indices = np.arange(grid.n)
+        for kick in boundary_kicks(grid):
+            assert np.array_equal(indices[_wrap_band(grid, kick)], np.flatnonzero(parent_mask(grid, kick)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-239.0, max_value=239.0).filter(lambda k: k != 0.0))
+    def test_band_equals_parent_masks_property(self, kick):
+        grid = MomentumGrid(-120.0, 120.0, 2048)
+        indices = np.arange(grid.n)
+        assert np.array_equal(indices[_wrap_band(grid, kick)], np.flatnonzero(parent_mask(grid, kick)))
+
+    @pytest.mark.parametrize("make_state", [box_state, lambda g: gaussian_pointer(g, SPREAD)],
+                             ids=["box", "gaussian"])
+    def test_refuses_exactly_what_the_parent_refuses(self, make_state):
+        grid = MomentumGrid(-120.0, 120.0, 256)
+        state = make_state(grid)
+        kicks = boundary_kicks(grid) + [-240.0, 240.0, 250.0, -1e300, 1e300]
+        outcomes = {True: 0, False: 0}
+        for kick in kicks:
+            try:
+                want = parent_shift(state, kick).amplitudes
+            except GridCoverageError:
+                want = None
+            try:
+                got = shift(state, kick).amplitudes
+            except GridCoverageError:
+                got = None
+            assert (got is None) == (want is None), kick
+            if got is not None:
+                assert got.tobytes() == want.tobytes(), kick
+            outcomes[got is None] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_refuses_nan(self, gauss):
+        with pytest.raises(GridCoverageError, match="exceeds the grid span"):
+            shift(gauss, math.nan)
 
 
 class TestMeanMomentum:
