@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
@@ -155,17 +156,22 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
     return cfg
 
 
-def _setup_summary(cfg: ScenarioConfig, setup: OpticalSetup) -> dict:
+def _report_head(cfg: ScenarioConfig, setup: OpticalSetup) -> dict:
+    """The schema_version, config and setup keys that open every JSON report."""
     return {
-        "r": setup.bs.r,
-        "t": setup.bs.t,
-        "omega": setup.omega,
-        "alpha_radians": setup.alpha,
-        "beta_radians": setup.beta,
-        "hbar": setup.hbar,
-        "nbar": setup.nbar,
-        "delta_kick": setup.delta_kick,
-        "delta_spread": cfg.delta_spread,
+        "schema_version": SCHEMA_VERSION,
+        "config": asdict(cfg),
+        "setup": {
+            "r": setup.bs.r,
+            "t": setup.bs.t,
+            "omega": setup.omega,
+            "alpha_radians": setup.alpha,
+            "beta_radians": setup.beta,
+            "hbar": setup.hbar,
+            "nbar": setup.nbar,
+            "delta_kick": setup.delta_kick,
+            "delta_spread": cfg.delta_spread,
+        },
     }
 
 
@@ -219,9 +225,7 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
         )
     ]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "setup": _setup_summary(cfg, setup),
+        **_report_head(cfg, setup),
         "channels": channels,
         "weak_value_d1": wv1.real,
         "weak_value_d2": wv2.real,
@@ -257,9 +261,7 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
             return None
 
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "setup": _setup_summary(cfg, setup),
+        **_report_head(cfg, setup),
         "sample_mean": sample_mean,
         "standard_error": standard_error,
         "expected": report.grand_total,
@@ -305,9 +307,7 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
     report = _expected_totals(setup)
     classical = report.classical_reference  # zero only when nbar = 0
     return {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "setup": _setup_summary(cfg, setup),
+        **_report_head(cfg, setup),
         "quantum_total": report.grand_total,
         "quantum_d1_total": report.d1_total,
         "quantum_d2_total": report.d2_total,
@@ -417,10 +417,19 @@ def main(argv: list[str] | None = None) -> int:
             report = run_compare_classical(cfg)
             _write_json(out_dir / "compare_classical.json", report)
         print(_dumps(report))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MzkickError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory; lower grid_points or trials ({exc})", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again (the recipe in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_NUMERICAL
     return EXIT_OK

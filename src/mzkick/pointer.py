@@ -9,6 +9,7 @@ spectrally accurate once the tails are dead.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,6 +83,11 @@ class PointerState:
     other array (writeable, or a view of another array) is copied. The peak
     density and the norm are computed once per state. States compare and hash
     by identity.
+
+    Adoption is a contract, not a check: the maker of an adopted array must
+    not set it writeable again, because the cached peak and norm assume it
+    never changes. The hand-over sites are filter_spectrum, gaussian_pointer
+    and weak_measurement.postselect.
     """
 
     grid: MomentumGrid
@@ -171,12 +177,24 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
         raise GridCoverageError(
             f"shift by {delta_kick} would push significant density off-grid"
         )
-    phase = -2j * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    phase *= delta_kick
+
+    def phase(freqs: np.ndarray) -> np.ndarray:  # exp(-2*pi*i*f*delta), in place
+        factor = -2j * np.pi * freqs
+        factor *= delta_kick
+        return np.exp(factor, out=factor)
+
+    return filter_spectrum(state, phase)
+
+
+def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.ndarray]) -> PointerState:
+    """phi -> ifft(fft(phi) * response(f)), f = fftfreq(n, d=spacing): the one FFT path. The
+    factor precedes fft, so their temporaries never coexist; product and ifft work in place."""
+    grid = state.grid
+    factor = response(np.fft.fftfreq(grid.n, d=grid.spacing))
     # The spectrum stays the left operand: F *= P gives the bits of F * P,
     # which P * F need not (fused multiply-add).
     spectrum = np.fft.fft(state.amplitudes)
-    spectrum *= np.exp(phase, out=phase)
+    spectrum *= factor
     np.fft.ifft(spectrum, out=spectrum)
     spectrum.flags.writeable = False
     return PointerState(grid, spectrum)

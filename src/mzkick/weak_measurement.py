@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, mean_momentum, shift
+from .pointer import PointerState, filter_spectrum, mean_momentum, shift
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
@@ -102,23 +102,15 @@ def couple_with_kick(psi: ModeAmplitudes, pointer: PointerState, delta_kick: flo
     return JointState(psi, pointer, shift(pointer, delta_kick))
 
 
-def couple_reflection(psi: ModeAmplitudes, pointer: PointerState, setup: OpticalSetup) -> JointState:
-    """Exact photon-mirror coupling for the setup's per-photon kick."""
-    return couple_with_kick(psi, pointer, setup.delta_kick)
-
-
-def first_order_joint(psi: ModeAmplitudes, pointer: PointerState, setup: OpticalSetup) -> JointState:
+def first_order_joint(psi: ModeAmplitudes, pointer: PointerState, delta_kick: float) -> JointState:
     """First-order expansion of the coupling: phi(p - delta) ~ phi(p) - delta*dphi/dp.
 
     Valid only for delta much smaller than the pointer spread; exists to
-    quantify that regime against couple_reflection. The output norm exceeds 1
+    quantify that regime against couple_with_kick. The output norm exceeds 1
     by O((delta/spread)^2). Production paths use the exact coupling.
     """
     pointer.require_normalized()
-    grid = pointer.grid
-    freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
-    dphi = np.fft.ifft(np.fft.fft(pointer.amplitudes) * (2j * np.pi * freqs))
-    expanded = PointerState(grid, pointer.amplitudes - setup.delta_kick * dphi)
+    expanded = filter_spectrum(pointer, lambda freqs: 1.0 - 2j * np.pi * delta_kick * freqs)
     return JointState(psi, pointer, expanded)
 
 

@@ -22,7 +22,6 @@ from mzkick.photon_modes import (
 from mzkick.pointer import default_grid, gaussian_pointer, overlap, shift
 from mzkick.weak_measurement import (
     OpticalSetup,
-    couple_reflection,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
@@ -122,7 +121,7 @@ def test_criterion_5_exact_vs_weak_convergence():
         devs[ratio] = abs((exact - weak) / weak)
     setup = make_setup()  # delta = 1, spread = 10
     pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
-    at_unit = postselect(couple_reflection(psi, pointer, setup), phi2).mean_kick
+    at_unit = postselect(couple_with_kick(psi, pointer, setup.delta_kick), phi2).mean_kick
     oracle = d2_mean_kick_oracle(0.75, setup.delta_kick, SPREAD)  # -0.49626865865015585
     elapsed = time.perf_counter() - t0
     ok = (
@@ -247,8 +246,8 @@ def test_criterion_11_first_order_validity_window():
     def rel_err(ratio: float) -> float:
         setup = make_setup(omega=10.0 * ratio)  # delta = ratio * SPREAD
         pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
-        exact = couple_reflection(psi, pointer, setup)
-        approx = first_order_joint(psi, pointer, setup)
+        exact = couple_with_kick(psi, pointer, setup.delta_kick)
+        approx = first_order_joint(psi, pointer, setup.delta_kick)
         num = max(
             float(np.max(np.abs(exact.comp_a - approx.comp_a))),
             float(np.max(np.abs(exact.comp_b - approx.comp_b))),

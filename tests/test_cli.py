@@ -533,17 +533,21 @@ class TestJsonTables:
             assert bit_patterns(columns[name]) == bit_patterns(map(json.loads, values))
 
 
+def child_env() -> dict:
+    """The environment for a `python -m mzkick` child that imports the same
+    mzkick as this process, installed or not."""
+    src = str(Path(mzkick.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
-        # the child imports the same mzkick as this process, installed or not
-        src = str(Path(mzkick.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "mzkick", "compare-classical", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["ratio"] == pytest.approx(1.0, abs=1e-12)
@@ -557,3 +561,36 @@ class TestModuleEntryPoint:
         entry = getattr(importlib.import_module(module), name)
         assert entry(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
         assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestResourceFailures:
+    def test_closed_stdout_exits_one_without_traceback(self, tmp_path):
+        # 3,000 zero-kick rows print far more than a pipe buffer holds, so the
+        # child is still writing when the reader goes away.
+        argv = ["decoherence", "--grid-points", "64", "--ratios", *["0"] * 3000]
+        proc = subprocess.Popen([sys.executable, "-m", "mzkick", *argv, "--out", str(tmp_path)],
+                                env=child_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.read(1) == "{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert (tmp_path / "decoherence_scan.csv").stat().st_size > 0  # written before stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-photon", "--grid-points", str(10**15)],
+            ["decoherence", "--grid-points", str(10**15), "--ratios", "0.5"],
+            ["ensemble", "--trials", str(10**15)],
+        ],
+        ids=["single-photon", "decoherence", "ensemble"],
+    )
+    def test_unallocatable_size_exits_one(self, tmp_path, capsys, argv):
+        # 10**15 eight-byte values are 7.1 PiB, past the 128 TiB user address
+        # space, so the first allocation fails at once under any overcommit policy.
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,15 @@
 """Gaussian pointer states, the spectral shift, moments, and overlaps."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mzkick
 from mzkick.errors import ConstraintViolationError, GridCoverageError, GridMismatchError
 from mzkick.pointer import (
     TAIL_DENSITY_RATIO,
@@ -14,6 +17,7 @@ from mzkick.pointer import (
     PointerState,
     _wrap_band,
     default_grid,
+    filter_spectrum,
     gaussian_pointer,
     mean_momentum,
     overlap,
@@ -225,6 +229,29 @@ class TestShift:
             moved = shift(state, delta)
             assert moved.norm_squared() == pytest.approx(1.0, abs=1e-10)
             assert mean_momentum(moved) - mean_momentum(state) == pytest.approx(delta, abs=1e-8)
+
+
+class TestFilterSpectrum:
+    def test_unit_response_returns_the_input(self, gauss):
+        same = filter_spectrum(gauss, np.ones_like)
+        assert np.max(np.abs(same.amplitudes - gauss.amplitudes)) < 1e-15
+
+    def test_fft_is_called_only_in_filter_spectrum(self):
+        """Every reference to an fft module or function in the package, by the
+        top-level definition that holds it."""
+        sites = set()
+        for path in sorted(Path(mzkick.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute):
+                        names = [node.attr]
+                    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                        names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                    else:
+                        continue
+                    if any("fft" in name.split(".") for name in names):
+                        sites.add((path.name, getattr(top, "name", None)))
+        assert sites == {("pointer.py", "filter_spectrum")}
 
 
 def parent_shift(state: PointerState, delta_kick: float) -> PointerState:

@@ -20,7 +20,6 @@ from mzkick.photon_modes import (
 from mzkick.pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
 from mzkick.weak_measurement import (
     OpticalSetup,
-    couple_reflection,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
@@ -91,7 +90,7 @@ class TestOpticalSetup:
 
 class TestCoupleReflection:
     def test_arm_a_only_photon_leaves_pointer_alone(self, setup, pointer):
-        joint = couple_reflection(ModeAmplitudes(1.0, 0.0), pointer, setup)
+        joint = couple_with_kick(ModeAmplitudes(1.0, 0.0), pointer, setup.delta_kick)
         assert np.array_equal(joint.comp_a, pointer.amplitudes)
         assert np.all(joint.comp_b == 0.0)
 
@@ -112,14 +111,14 @@ class TestCoupleReflection:
 
     def test_arm_b_component_is_kicked(self, setup, pointer):
         psi = intra_state(setup.bs)
-        joint = couple_reflection(psi, pointer, setup)
+        joint = couple_with_kick(psi, pointer, setup.delta_kick)
         p = pointer.grid.points
         dens_b = np.abs(joint.comp_b) ** 2
         mean_b = np.trapezoid(p * dens_b, p) / np.trapezoid(dens_b, p)
         assert mean_b == pytest.approx(setup.delta_kick, abs=1e-8)
 
     def test_total_norm_is_one(self, setup, pointer):
-        joint = couple_reflection(intra_state(setup.bs), pointer, setup)
+        joint = couple_with_kick(intra_state(setup.bs), pointer, setup.delta_kick)
         dens = np.abs(joint.comp_a) ** 2 + np.abs(joint.comp_b) ** 2
         assert np.trapezoid(dens, pointer.grid.points) == pytest.approx(1.0, abs=1e-10)
 
@@ -142,24 +141,35 @@ class TestFirstOrderJoint:
         # omega -> 0 is excluded by the setup type, so compare at a tiny kick
         setup = make_setup(omega=1e-12)
         psi = intra_state(setup.bs)
-        exact = couple_reflection(psi, pointer, setup)
-        approx = first_order_joint(psi, pointer, setup)
+        exact = couple_with_kick(psi, pointer, setup.delta_kick)
+        approx = first_order_joint(psi, pointer, setup.delta_kick)
         assert self.rel_max_amp_diff(exact, approx) < 1e-15
 
     def test_small_coupling_agreement(self, pointer):
         setup = make_setup(omega=1e-2)  # delta/spread = 1e-3
         psi = intra_state(setup.bs)
-        exact = couple_reflection(psi, pointer, setup)
-        approx = first_order_joint(psi, pointer, setup)
+        exact = couple_with_kick(psi, pointer, setup.delta_kick)
+        approx = first_order_joint(psi, pointer, setup.delta_kick)
         assert self.rel_max_amp_diff(exact, approx) < 1e-6
 
     def test_strong_coupling_breakdown(self):
         setup = make_setup(omega=10.0)  # delta/spread = 1
         pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
         psi = intra_state(setup.bs)
-        exact = couple_reflection(psi, pointer, setup)
-        approx = first_order_joint(psi, pointer, setup)
+        exact = couple_with_kick(psi, pointer, setup.delta_kick)
+        approx = first_order_joint(psi, pointer, setup.delta_kick)
         assert self.rel_max_amp_diff(exact, approx) > 1e-2
+
+    @pytest.mark.parametrize("ratio", [1e-13, 1e-3, 1.0])
+    def test_matches_the_derivative_form(self, ratio):
+        # oracle: phi - delta * dphi/dp, the derivative taken as its own transform
+        delta = ratio * SPREAD
+        pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+        freqs = np.fft.fftfreq(pointer.grid.n, d=pointer.grid.spacing)
+        dphi = np.fft.ifft(np.fft.fft(pointer.amplitudes) * (2j * np.pi * freqs))
+        oracle = pointer.amplitudes - delta * dphi
+        expanded = first_order_joint(ModeAmplitudes(0.0, 1.0), pointer, delta).arm_b.amplitudes
+        assert np.max(np.abs(expanded - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
     def test_postselection_mean_tracks_exact_to_second_order(self):
         # |mean_fo - mean_exact| stays below 0.5 * delta * (delta/spread)^2
@@ -170,8 +180,8 @@ class TestFirstOrderJoint:
             pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
             for channel in (CHANNEL_D1, CHANNEL_D2):
                 phi = detector_state(setup.bs, channel)
-                exact = postselect(couple_reflection(psi, pointer, setup), phi)
-                fo = postselect(first_order_joint(psi, pointer, setup), phi)
+                exact = postselect(couple_with_kick(psi, pointer, setup.delta_kick), phi)
+                fo = postselect(first_order_joint(psi, pointer, setup.delta_kick), phi)
                 assert abs(fo.mean_kick - exact.mean_kick) < 0.5 * delta * ratio**2
 
 
@@ -229,7 +239,8 @@ class TestPostselect:
 
     def test_d2_matches_gaussian_oracle(self, setup, pointer):
         psi = intra_state(setup.bs)
-        res = postselect(couple_reflection(psi, pointer, setup), detector_state(setup.bs, CHANNEL_D2))
+        joint = couple_with_kick(psi, pointer, setup.delta_kick)
+        res = postselect(joint, detector_state(setup.bs, CHANNEL_D2))
         oracle = d2_mean_kick_oracle(0.75, setup.delta_kick, SPREAD)
         assert res.mean_kick == pytest.approx(oracle, abs=1e-8)
         assert res.mean_kick == pytest.approx(-0.49626865865015585, abs=1e-5)
@@ -268,7 +279,7 @@ class TestPostselect:
             assert total == pytest.approx(0.25 * delta, abs=1e-10)
 
     def test_conditional_pointer_is_normalized(self, setup, pointer):
-        joint = couple_reflection(intra_state(setup.bs), pointer, setup)
+        joint = couple_with_kick(intra_state(setup.bs), pointer, setup.delta_kick)
         res = postselect(joint, detector_state(setup.bs, CHANNEL_D2))
         assert res.conditional_pointer.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
