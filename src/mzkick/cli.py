@@ -42,6 +42,9 @@ EXIT_CONFIG = 2
 
 DEFAULT_SCAN_RATIOS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 
+# The longest complex128 array numpy can describe: its byte count fits in intp.
+ARRAY_LENGTH_MAX = np.iinfo(np.intp).max // 16
+
 # A decimal number with a leading minus, exponent form included.
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -87,12 +90,16 @@ class ScenarioConfig:
             problems.append(f"delta_spread: 2*spread**2 is not a normal float (got {self.delta_spread})")
         if self.grid_points < 16:
             problems.append(f"grid_points: must be at least 16 (got {self.grid_points})")
+        elif self.grid_points > ARRAY_LENGTH_MAX:
+            problems.append(f"grid_points: must be at most {ARRAY_LENGTH_MAX} (got {self.grid_points})")
         if self.grid_halfwidth < 0.0:
             problems.append(f"grid_halfwidth: must be non-negative (got {self.grid_halfwidth})")
         if not 0 <= self.seed < 2**64:
             problems.append(f"seed: must fit in an unsigned 64-bit integer (got {self.seed})")
         if self.trials < 1:
             problems.append(f"trials: must be at least 1 (got {self.trials})")
+        elif self.trials > ARRAY_LENGTH_MAX:
+            problems.append(f"trials: must be at most {ARRAY_LENGTH_MAX} (got {self.trials})")
         if problems:
             raise ConfigError("\n".join(problems))
 
@@ -135,8 +142,8 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
             raw = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"config: cannot read {path} ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ConfigError(f"config: {path} is not valid UTF-8 JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config: {path} must contain a JSON object")
         unknown = sorted(set(raw) - set(FIELD_TYPES))
@@ -397,7 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     out_dir: Path = args.out
     try:
         cfg = load_config(args.config, {name: getattr(args, name) for name in FIELD_TYPES})
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot create directory {out_dir} ({exc})") from exc
         if args.command == "single-photon":
             report = run_single_photon(cfg)
             _write_json(out_dir / "single_photon.json", report)
@@ -431,5 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         # The reader is gone: point stdout at devnull so that the flush at
         # exit cannot raise again (the recipe in Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error: cannot write output ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

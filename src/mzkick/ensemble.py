@@ -10,7 +10,7 @@ kick, so run-level mirror momentum attaches entirely to the D2 count.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,9 +77,8 @@ POISSON_NBAR_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int
 
 
 @dataclass(frozen=True, eq=False)
-class RunTable(Sequence):
-    """Runs as read-only columns indexed by trial, with the RunRecord invariants
-    checked once, vectorized; reads as a sequence of RunRecord."""
+class RunTable:
+    """Read-only run columns indexed by trial, checked once against the RunRecord invariants."""
 
     totals: np.ndarray
     d1: np.ndarray
@@ -95,7 +94,7 @@ class RunTable(Sequence):
             col.flags.writeable = False
 
     @classmethod
-    def from_records(cls, records: Sequence[RunRecord]) -> RunTable:
+    def from_records(cls, records: RunTable | Sequence[RunRecord]) -> RunTable:
         if isinstance(records, cls):
             return records
         return cls(*(np.array([getattr(r, f.name) for r in records]) for f in fields(RunRecord)))
@@ -106,17 +105,6 @@ class RunTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.totals)
-
-    def __getitem__(self, i: int) -> RunRecord:
-        return RunRecord(*(col[i].item() for col in self.columns))
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return (RunRecord(*row) for row in zip(*(col.tolist() for col in self.columns)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunTable):
-            return NotImplemented
-        return all(map(np.array_equal, self.columns, other.columns))
 
 
 def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
@@ -142,7 +130,8 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
-def fluctuation_analysis(records: Sequence[RunRecord], conditional_on_total: bool = False) -> float:
+def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
+                         conditional_on_total: bool = False) -> float:
     """Pearson correlation between the D1 count and the mirror momentum.
 
     Because the momentum rides on D2 photons alone and the per-photon kick is

@@ -207,7 +207,7 @@ def test_criterion_9_monte_carlo_ensemble():
     hits = 0
     for seed in range(100):
         records = sample_runs(setup, 1000, seed=seed)
-        momenta = np.array([rec.mirror_momentum for rec in records])
+        momenta = records.momentum
         se = momenta.std(ddof=1) / math.sqrt(len(records))
         if abs(momenta.mean() - expected) <= 3.0 * se:
             hits += 1

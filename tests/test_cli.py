@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import mzkick
 from mzkick.cli import (
+    ARRAY_LENGTH_MAX,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -80,6 +81,37 @@ class TestConfigLoading:
             load_config(None, {"r_squared": 1.5, "trials": 0}).validate()
         assert "r_squared" in str(err.value)
         assert "trials" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "content,field",
+        [
+            (None, "config:"),  # no such file
+            ("directory", "config:"),
+            (b"{", "config:"),
+            (b"\xff\xfe{", "config:"),  # not UTF-8
+            (b"[1]", "config:"),
+            (b'{"seed": 1.5}', "seed:"),
+        ],
+        ids=["missing", "directory", "invalid-json", "not-utf8", "non-object", "fractional-seed"],
+    )
+    def test_bad_config_file_exits_two_before_output(self, tmp_path, capsys, content, field):
+        path = tmp_path / "scenario.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["single-photon", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[1].startswith(field)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [(["--grid-points", "15"], "grid_points:"), (["--seed", str(2**64)], "seed:")],
+    )
+    def test_out_of_range_integer_flag_exits_two(self, tmp_path, capsys, argv, field):
+        assert main(["single-photon", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[1].startswith(field)
 
 
 class TestSinglePhoton:
@@ -392,16 +424,26 @@ def extreme(values, typical):
     )
 
 
+# Sizes numpy cannot describe lead, because sampled_from draws its first
+# entries most often; the cap and 10**15 it describes but cannot allocate.
+EXTREME_SIZES = [2**63 - 1, 10**30, ARRAY_LENGTH_MAX + 1, ARRAY_LENGTH_MAX, 10**15]
+
+
+def extreme_size(typical):
+    """Mostly a typical size, else one of EXTREME_SIZES."""
+    return st.integers(0, 3).flatmap(lambda i: typical if i else st.sampled_from(EXTREME_SIZES))
+
+
 SCENARIO_FLAGS = {
     "r_squared": extreme([0.0, 0.5, 1.0, 1.5], st.floats(0.55, 0.95)),
     "omega": extreme([1e-9, 1e3, 1e8, 1e9], st.floats(0.01, 10.0)),
     "alpha_degrees": extreme([0.0, 90.0], st.floats(1.0, 89.0)),
     "nbar": extreme([0.0, 1e19, 1e30], st.floats(1.0, 1e4)),
     "delta_spread": extreme([1e-10, 1e-9, 1e-3, 1e4], st.floats(0.1, 100.0)),
-    "grid_points": st.integers(16, 4096),
+    "grid_points": extreme_size(st.integers(16, 4096)),
     "grid_halfwidth": extreme([1e6, 1e7], st.just(0.0) | st.floats(1.0, 1e3)),
     "seed": st.integers(0, 2**32),
-    "trials": st.integers(1, 500),
+    "trials": extreme_size(st.integers(1, 500)),
 }
 RATIOS = st.lists(extreme([math.nan, math.inf, 1e6], st.floats(0.0, 5.0)), min_size=1, max_size=4)
 
@@ -584,8 +626,12 @@ class TestResourceFailures:
             ["single-photon", "--grid-points", str(10**15)],
             ["decoherence", "--grid-points", str(10**15), "--ratios", "0.5"],
             ["ensemble", "--trials", str(10**15)],
+            ["single-photon", "--grid-points", str(ARRAY_LENGTH_MAX)],
+            ["decoherence", "--grid-points", str(ARRAY_LENGTH_MAX), "--ratios", "0.5"],
+            ["ensemble", "--trials", str(ARRAY_LENGTH_MAX)],
         ],
-        ids=["single-photon", "decoherence", "ensemble"],
+        ids=["single-photon", "decoherence", "ensemble",
+             "single-photon-cap", "decoherence-cap", "ensemble-cap"],
     )
     def test_unallocatable_size_exits_one(self, tmp_path, capsys, argv):
         # 10**15 eight-byte values are 7.1 PiB, past the 128 TiB user address
@@ -594,3 +640,34 @@ class TestResourceFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [ARRAY_LENGTH_MAX + 1, 2**60 - 1, 2**63 - 1, 10**30])
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["single-photon", "--grid-points"], "grid_points:"),
+            (["decoherence", "--ratios", "0.5", "--grid-points"], "grid_points:"),
+            (["ensemble", "--trials"], "trials:"),
+        ],
+        ids=["single-photon", "decoherence", "ensemble"],
+    )
+    def test_size_numpy_cannot_describe_exits_two(self, tmp_path, capsys, argv, field, size):
+        assert main([*argv, str(size), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[1].startswith(field)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["single-photon", "ensemble"])
+    def test_out_that_is_not_a_directory_exits_two(self, tmp_path, capsys, command):
+        (tmp_path / "file").touch()
+        for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+            assert main([command, "--trials", "50", "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines()[1].startswith("out:")
+
+    @pytest.mark.parametrize(
+        "command,name", [("single-photon", "single_photon.json"), ("ensemble", "ensemble_records.csv")]
+    )
+    def test_unwritable_output_file_exits_one(self, tmp_path, capsys, command, name):
+        (tmp_path / name).mkdir()
+        assert main([command, "--trials", "50", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1

@@ -62,6 +62,11 @@ class TestMomentumGrid:
         assert g.p_max == pytest.approx(40.0 + 8.0 * SPREAD)
         assert g.n == 4096
 
+    @pytest.mark.parametrize("spread", [0.0, -1.0])
+    def test_default_grid_rejects_non_positive_spread(self, spread):
+        with pytest.raises(ConstraintViolationError, match="delta_spread"):
+            default_grid(spread)
+
     def test_widths_are_read_only(self, grid):
         assert np.array_equal(grid.widths, np.diff(grid.points))
         assert grid.widths is grid.widths
@@ -121,6 +126,14 @@ class TestGaussianPointer:
         amp = np.exp(-np.linspace(-5, 5, 64) ** 2 / 200.0)  # spread 10: tails alive
         with pytest.raises(GridCoverageError):
             PointerState(g, amp)
+
+    def test_state_constructor_rejects_wrong_shape(self, grid):
+        with pytest.raises(ConstraintViolationError, match="amplitudes shape"):
+            PointerState(grid, gaussian_samples(grid)[:-1])
+
+    def test_state_constructor_rejects_zero_amplitudes(self, grid):
+        with pytest.raises(ConstraintViolationError, match="identically zero"):
+            PointerState(grid, np.zeros(grid.n))
 
 
 class TestPointerStateIdentity:
