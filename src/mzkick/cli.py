@@ -10,11 +10,14 @@ so outputs re-parse losslessly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -331,11 +334,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_dumps(payload) + "\n")
 
 
+@contextlib.contextmanager
+def _output_set(out_dir: Path):
+    """Yield a fresh staging directory inside out_dir to write this run's data files
+    to; then move them into out_dir with os.replace. If a move fails, the files
+    already moved are removed, so out_dir gains all of the set or none of it. The
+    staging directory is removed in every case."""
+    staging = Path(tempfile.mkdtemp(prefix=".mzkick-", dir=out_dir))
+    moved = []
+    try:
+        yield staging
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out_dir / path.name)
+            moved.append(out_dir / path.name)
+    except OSError:
+        for path in moved:
+            path.unlink()
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _write_table(path: Path, fmt: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns (1-D arrays in header order) to path.csv, or to path.json as
     {"schema_version", "columns": {name: values}}. Every value is its repr, so -0.0
-    stays -0.0; CSV formats each distinct bit pattern once, and JSON is unindented
-    so that the C encoder writes it."""
+    stays -0.0. CSV builds each column as a NUL-padded text matrix (see _csv_text)
+    and drops the NULs; JSON is unindented so that the C encoder writes it."""
     if fmt == "csv":
         ends = [","] * (len(columns) - 1) + ["\n"]
         body = np.concatenate([_csv_text(col, end) for col, end in zip(columns, ends)], axis=1)
@@ -349,10 +373,43 @@ def _write_table(path: Path, fmt: str, header: list[str], columns: list[np.ndarr
 
 
 def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
-    """repr(value) + end for each entry of col, as the rows of a NUL-padded uint8 matrix."""
+    """repr(value) + end for each entry of col, as the rows of a NUL-padded uint8 matrix.
+
+    Integer columns are spelled out by digit arithmetic (_digit_text), which costs the
+    same for a column of distinct values, such as the trial index, as for one that
+    repeats. Float columns call repr once per distinct bit pattern."""
+    if col.dtype.kind in "iu":
+        return _digit_text(col, end)
     bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
     text = np.array([repr(v) + end for v in bits.view(col.dtype).tolist()], dtype=bytes)
     return text[inverse].view(np.uint8).reshape(len(col), text.itemsize)
+
+
+def _digit_text(col: np.ndarray, end: str) -> np.ndarray:
+    """The decimal text of an integer column plus end, right-aligned in NUL-padded rows.
+
+    The magnitude is taken as uint64, so -(2**63) is exact, then narrowed to the
+    smallest unsigned type that holds the largest one, which makes each divmod by 10
+    cheaper. The rows are one place wider than the longest magnitude only when the
+    column holds a negative value: that place is for its sign."""
+    negative = col < 0
+    rest = col.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)
+    top = rest.max(initial=0)
+    rest = rest.astype(np.min_scalar_type(top))
+    sign = int(negative.any())
+    digits = sign + len(str(top))
+    text = np.zeros((len(col), digits + len(end)), np.uint8)
+    text[:, digits:] = np.frombuffer(end.encode(), np.uint8)
+    live = True  # the ones place is written even for 0, a higher one only while the rest is nonzero
+    for place in range(digits - 1, sign - 1, -1):
+        rest, digit = np.divmod(rest, 10)
+        text[:, place] = (digit + ord("0")) * live
+        live = rest != 0
+    if sign:
+        rows = np.flatnonzero(negative)
+        text[rows, (text[rows] != 0).argmax(axis=1) - 1] = ord("-")
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,22 +467,26 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"out: cannot create directory {out_dir} ({exc})") from exc
         if args.command == "single-photon":
             report = run_single_photon(cfg)
-            _write_json(out_dir / "single_photon.json", report)
+            with _output_set(out_dir) as staging:
+                _write_json(staging / "single_photon.json", report)
         elif args.command == "ensemble":
             report, records = run_ensemble(cfg)
             header = ["trial", "N", "n1", "n2", "momentum"]
             columns = [np.arange(len(records)), *records.columns]
-            _write_table(out_dir / "ensemble_records", args.fmt, header, columns)
-            _write_json(out_dir / "ensemble_summary.json", report)
+            with _output_set(out_dir) as staging:
+                _write_table(staging / "ensemble_records", args.fmt, header, columns)
+                _write_json(staging / "ensemble_summary.json", report)
         elif args.command == "decoherence":
             scan = run_decoherence_scan(cfg, list(args.ratios))
             header = list(scan[0])
             columns = [np.array([row[name] for row in scan]) for name in header]
-            _write_table(out_dir / "decoherence_scan", args.fmt, header, columns)
+            with _output_set(out_dir) as staging:
+                _write_table(staging / "decoherence_scan", args.fmt, header, columns)
             report = {"schema_version": SCHEMA_VERSION, "rows": scan}
         elif args.command == "compare-classical":
             report = run_compare_classical(cfg)
-            _write_json(out_dir / "compare_classical.json", report)
+            with _output_set(out_dir) as staging:
+                _write_json(staging / "compare_classical.json", report)
         print(_dumps(report))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except ConfigError as exc:

@@ -152,15 +152,19 @@ def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
     if peak != 0.0 and peak * peak < np.finfo(float).tiny:
         raise ConstraintViolationError(f"momenta up to {peak} square below the normal float range "
                                        "(underflow); correlation undefined")
-    starts = [0]  # one group: the plain Pearson correlation
+    bounds = []  # one group: the plain Pearson correlation
     if conditional_on_total:
         # A stable sort makes each total's runs one slice in trial order: the
         # same values, summed in the same order, that a per-total mask selects.
-        order = np.argsort(table.totals, kind="stable")
-        _, starts = np.unique(table.totals[order], return_index=True)
+        # Totals are >= 0, so they narrow to the smallest unsigned type that
+        # holds them (uint16 at nbar 1e4, which numpy sorts by radix); a stable
+        # sort's permutation is unique, so narrowing does not change it.
+        totals = table.totals.astype(np.min_scalar_type(table.totals.max()))
+        order = np.argsort(totals, kind="stable")
+        bounds = np.flatnonzero(np.diff(totals[order])) + 1
         n1, mom = n1[order], mom[order]
     sxy = sxx = syy = 0.0
-    for x, y in zip(np.split(n1, starts[1:]), np.split(mom, starts[1:])):
+    for x, y in zip(np.split(n1, bounds), np.split(mom, bounds)):
         dx = x - x.mean()
         dy = y - y.mean()
         # np.sum, not a BLAS dot: its result does not depend on the thread count.

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mzkick
 from mzkick.cli import (
@@ -507,30 +507,52 @@ def bit_patterns(values):
     return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values]
 
 
-# Signed zeros, subnormals and the ends of the float and int64 ranges, besides any value.
+# Signed zeros, subnormals and the ends of the float range, besides any value.
 TABLE_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, sys.float_info.max]
 ) | st.floats(allow_nan=False, allow_infinity=False)
-TABLE_INTS = st.sampled_from([0, -1, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def int_edges(dtype) -> list[int]:
+    """0, -1 where it fits, and both ends of the integer dtype's range."""
+    info = np.iinfo(dtype)
+    return [0, max(-1, info.min), info.min, info.max]
 
 
 @st.composite
 def table_columns(draw):
-    """One to five float64 or int64 columns of equal length, each drawn from a small
-    pool of values so that most tables repeat values."""
+    """One to five columns of equal length, float64 or any numpy integer dtype. Most
+    are drawn from a small pool of values, so that the table repeats values; some
+    integer columns are all-distinct, as the trial index is, and negated if signed."""
     rows = draw(st.integers(1, 40))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        values, dtype = draw(st.sampled_from([(TABLE_FLOATS, np.float64), (TABLE_INTS, np.int64)]))
+        dtype = draw(st.sampled_from([np.float64, *INT_DTYPES]))
+        if dtype is not np.float64 and draw(st.booleans()):
+            column = np.arange(rows, dtype=dtype)
+            negate = np.issubdtype(dtype, np.signedinteger) and draw(st.booleans())
+            columns.append(-column if negate else column)
+            continue
+        if dtype is np.float64:
+            values = TABLE_FLOATS
+        else:
+            edges = int_edges(dtype)
+            values = st.sampled_from(edges) | st.integers(min(edges), max(edges))
         pool = draw(st.lists(values, min_size=1, max_size=8))
         column = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
         columns.append(np.array(column, dtype=dtype))
     return columns
 
 
+INT_EDGES = [np.array(int_edges(dtype), dtype=dtype) for dtype in INT_DTYPES]
+
+
 class TestWriteTable:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(table_columns())
+    @example(INT_EDGES)
+    @example([-np.arange(40)])
     def test_csv_matches_row_wise_repr(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
         line = ",".join(["%r"] * len(columns)) + "\n"
@@ -664,10 +686,17 @@ class TestResourceFailures:
             assert capsys.readouterr().err.splitlines()[1].startswith("out:")
 
     @pytest.mark.parametrize(
-        "command,name", [("single-photon", "single_photon.json"), ("ensemble", "ensemble_records.csv")]
+        "command,name",
+        [
+            ("single-photon", "single_photon.json"),
+            ("ensemble", "ensemble_records.csv"),
+            ("ensemble", "ensemble_summary.json"),
+        ],
     )
     def test_unwritable_output_file_exits_one(self, tmp_path, capsys, command, name):
         (tmp_path / name).mkdir()
         assert main([command, "--trials", "50", "--out", str(tmp_path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        # All or nothing: no file of the set, and no temporary file, is left.
+        assert [path.name for path in tmp_path.iterdir()] == [name]

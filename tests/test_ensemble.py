@@ -45,7 +45,10 @@ def same_columns(a: RunTable, b: RunTable) -> bool:
 
 
 def within_total_reference(records) -> float:
-    """The pooled within-total correlation as a per-total boolean-mask loop."""
+    """The pooled within-total correlation as a per-total boolean-mask loop.
+
+    Each sum is an np.sum, as in fluctuation_analysis: a BLAS dot adds in another
+    order, so it can differ in the last bit even when the groups are right."""
     n1 = np.array([rec.d1_count for rec in records], dtype=float)
     mom = np.array([rec.mirror_momentum for rec in records], dtype=float)
     totals = np.array([rec.total_photons for rec in records])
@@ -54,9 +57,9 @@ def within_total_reference(records) -> float:
         sel = totals == total
         dx = n1[sel] - n1[sel].mean()
         dy = mom[sel] - mom[sel].mean()
-        sxy += float(dx @ dy)
-        sxx += float(dx @ dx)
-        syy += float(dy @ dy)
+        sxy += float(np.sum(dx * dy))
+        sxx += float(np.sum(dx * dx))
+        syy += float(np.sum(dy * dy))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -166,6 +169,33 @@ class TestFluctuationAnalysis:
     def test_grouped_pooling_matches_mask_loop_exactly(self):
         table = sample_runs(make_setup(nbar=1e4), 5000, seed=23)
         assert len(np.unique(table.totals)) >= 100
+        corr = fluctuation_analysis(table, conditional_on_total=True)
+        assert corr == within_total_reference(as_records(table))
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [1, 254, 255],
+            [1, 255, 256, 257],
+            [1, 65534, 65535],
+            [1, 65535, 65536, 65537],
+            [65535, 65536, 131071],
+            [65535],
+            [7],
+        ],
+        ids=["uint8-top", "uint8-uint16", "uint16-top", "uint16-uint32", "from-65535", "all-65535",
+             "all-7"],
+    )
+    def test_grouping_at_narrow_type_edges_matches_mask_loop_exactly(self, levels):
+        # The totals are sorted in the smallest unsigned type that holds them. Each
+        # set tops or straddles one such type; in a straddling set the largest level
+        # wraps onto a smaller one in the narrower type, so too narrow a sort would
+        # merge two groups. A single level is one group.
+        rng = np.random.Generator(np.random.Philox(5))
+        totals = rng.permutation(np.resize(np.array(levels), 60))
+        d1 = rng.binomial(totals, 0.75)
+        d2 = totals - d1
+        table = RunTable(totals, d1, d2, d2 * net_kick_d2(make_setup(nbar=1e4)))
         corr = fluctuation_analysis(table, conditional_on_total=True)
         assert corr == within_total_reference(as_records(table))
 
