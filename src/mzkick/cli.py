@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import POISSON_NBAR_MAX, RunTable, expected_kick_report, fluctuation_analysis, sample_runs
+from .ensemble import POISSON_NBAR_MAX, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
 from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_grid, gaussian_pointer, overlap
@@ -244,8 +244,8 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
-    """Monte-Carlo run records plus a summary against the expected totals."""
+def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
+    """A summary against the expected totals, and the Monte-Carlo run records as columns."""
     if not 0.0 < cfg.nbar <= POISSON_NBAR_MAX:
         raise ConfigError(f"nbar: must lie in (0, {POISSON_NBAR_MAX!r}] to sample (got {cfg.nbar})")
     setup = cfg.to_setup()
@@ -281,7 +281,8 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, RunTable]:
         "correlation_unconditional": _corr(),
         "correlation_within_total": _corr(conditional_on_total=True),
     }
-    return summary, records
+    return summary, {"trial": np.arange(cfg.trials), "N": records.totals, "n1": records.d1,
+                     "n2": records.d2, "momentum": records.momentum}
 
 
 def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float]) -> list[dict]:
@@ -326,50 +327,50 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_dumps(payload) + "\n")
-
-
 @contextlib.contextmanager
 def _output_set(out_dir: Path):
     """Yield a fresh staging directory inside out_dir to write this run's data files
-    to; then move them into out_dir with os.replace. If a move fails, the files
-    already moved are removed, so out_dir gains all of the set or none of it. The
-    staging directory is removed in every case."""
+    to; then move them into out_dir with os.replace. Each file a move replaces is
+    first hard-linked into the staging directory, so if any move fails, the moved
+    names get their earlier file back or are removed: out_dir gains all of the set
+    or is left as it was. The staging directory is removed in every case."""
     staging = Path(tempfile.mkdtemp(prefix=".mzkick-", dir=out_dir))
     moved = []
     try:
         yield staging
-        for path in sorted(staging.iterdir()):
-            os.replace(path, out_dir / path.name)
-            moved.append(out_dir / path.name)
-    except OSError:
-        for path in moved:
-            path.unlink()
+        names = sorted(path.name for path in staging.iterdir())
+        for name in names:
+            if (out_dir / name).is_file():
+                os.link(out_dir / name, staging / f"{name}~", follow_symlinks=False)
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+            moved.append(name)
+    except BaseException:
+        for name in moved:
+            try:
+                os.replace(staging / f"{name}~", out_dir / name)
+            except FileNotFoundError:  # the name had no earlier file
+                (out_dir / name).unlink()
         raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _write_table(path: Path, fmt: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns (1-D arrays in header order) to path.csv, or to path.json as
+def _write_table(path: Path, fmt: str, table: dict[str, np.ndarray]) -> None:
+    """Write table ({name: 1-D array}) to path.csv, or to path.json as
     {"schema_version", "columns": {name: values}}. Every value is its repr, so -0.0
     stays -0.0. CSV builds each column as a NUL-padded text matrix (see _csv_text)
     and drops the NULs; JSON is unindented so that the C encoder writes it."""
     if fmt == "csv":
-        ends = [","] * (len(columns) - 1) + ["\n"]
-        body = np.concatenate([_csv_text(col, end) for col, end in zip(columns, ends)], axis=1)
+        ends = [","] * (len(table) - 1) + ["\n"]
+        body = np.concatenate([_csv_text(col, end) for col, end in zip(table.values(), ends)], axis=1)
         with open(path.with_suffix(".csv"), "wb") as f:
-            f.write((",".join(header) + "\n").encode())
+            f.write((",".join(table) + "\n").encode())
             f.write(body[body != 0])
     else:
-        table = {"schema_version": SCHEMA_VERSION,
-                 "columns": {name: col.tolist() for name, col in zip(header, columns)}}
-        path.with_suffix(".json").write_text(json.dumps(table, allow_nan=False) + "\n")
+        payload = {"schema_version": SCHEMA_VERSION,
+                   "columns": {name: col.tolist() for name, col in table.items()}}
+        path.with_suffix(".json").write_text(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
@@ -465,29 +466,27 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out: cannot create directory {out_dir} ({exc})") from exc
-        if args.command == "single-photon":
-            report = run_single_photon(cfg)
-            with _output_set(out_dir) as staging:
-                _write_json(staging / "single_photon.json", report)
-        elif args.command == "ensemble":
-            report, records = run_ensemble(cfg)
-            header = ["trial", "N", "n1", "n2", "momentum"]
-            columns = [np.arange(len(records)), *records.columns]
-            with _output_set(out_dir) as staging:
-                _write_table(staging / "ensemble_records", args.fmt, header, columns)
-                _write_json(staging / "ensemble_summary.json", report)
+        # Each subcommand gives its report, its {file stem: {name: column}} tables,
+        # and the name of the file that holds the report, if one does.
+        if args.command == "ensemble":
+            report, columns = run_ensemble(cfg)
+            tables, document = {"ensemble_records": columns}, "ensemble_summary.json"
         elif args.command == "decoherence":
-            scan = run_decoherence_scan(cfg, list(args.ratios))
-            header = list(scan[0])
-            columns = [np.array([row[name] for row in scan]) for name in header]
-            with _output_set(out_dir) as staging:
-                _write_table(staging / "decoherence_scan", args.fmt, header, columns)
-            report = {"schema_version": SCHEMA_VERSION, "rows": scan}
-        elif args.command == "compare-classical":
-            report = run_compare_classical(cfg)
-            with _output_set(out_dir) as staging:
-                _write_json(staging / "compare_classical.json", report)
-        print(_dumps(report))
+            rows = run_decoherence_scan(cfg, list(args.ratios))
+            report = {"schema_version": SCHEMA_VERSION, "rows": rows}
+            columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+            tables, document = {"decoherence_scan": columns}, None
+        elif args.command == "single-photon":
+            report, tables, document = run_single_photon(cfg), {}, "single_photon.json"
+        else:
+            report, tables, document = run_compare_classical(cfg), {}, "compare_classical.json"
+        text = json.dumps(report, indent=2, allow_nan=False)
+        with _output_set(out_dir) as staging:
+            for stem, table in tables.items():
+                _write_table(staging / stem, args.fmt, table)
+            if document:
+                (staging / document).write_text(text + "\n")
+        print(text)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface and its file outputs."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import importlib
@@ -465,6 +466,25 @@ def cli_argv(draw):
     return argv
 
 
+# Each subcommand's report file and table file stem, or None where it writes no such file.
+OUTPUT_FILES = {
+    "single-photon": ("single_photon.json", None),
+    "ensemble": ("ensemble_summary.json", "ensemble_records"),
+    "decoherence": (None, "decoherence_scan"),
+    "compare-classical": ("compare_classical.json", None),
+}
+
+
+def read_table(path: Path) -> dict:
+    """A written CSV or JSON table as {name: values}; each CSV field is the repr of its
+    value, which parses as a strict JSON number."""
+    if path.suffix == ".json":
+        return read_json(path)["columns"]
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    return {name: [strict_loads(v) for v in values] for name, values in zip(header, zip(*rows))}
+
+
 def gaussian_channel_closed_forms(config: dict) -> tuple[float, float, float]:
     """Kick, P(D1) and the D2 mean kick for a Gaussian pointer, from the config alone."""
     r2 = config["r_squared"]
@@ -485,11 +505,24 @@ class TestArgvProperty:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main([*argv, "--out", out])
             assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG), stderr.getvalue()
+            names = sorted(path.name for path in Path(out).iterdir())
             if code != EXIT_OK:
+                assert names == []  # no data file and no staging directory
                 return
+            # Exactly the command's files; the report file holds the text on stdout.
+            document, stem = OUTPUT_FILES[argv[0]]
+            table = stem and f"{stem}.{argv[2]}"
+            assert names == sorted(filter(None, [document, table]))
             report = strict_loads(stdout.getvalue())
-            for path in Path(out).glob("*.json"):
-                read_json(path)
+            if document:
+                assert (Path(out) / document).read_text() == stdout.getvalue()
+            if table:
+                columns = read_table(Path(out) / table)
+        if argv[0] == "decoherence":
+            rows = report["rows"]
+            assert list(columns) == list(rows[0])
+            for name, values in columns.items():
+                assert bit_patterns(values) == bit_patterns([row[name] for row in rows])
         if argv[0] == "single-photon" and 0.55 <= report["config"]["r_squared"] <= 0.95:
             kick, p_d1, d2_kick = gaussian_channel_closed_forms(report["config"])
             d1, d2 = report["channels"]
@@ -560,7 +593,7 @@ class TestWriteTable:
         want = ",".join(header) + "\n" + "".join(line % row for row in rows)
         with tempfile.TemporaryDirectory() as out:
             path = Path(out) / "table"
-            _write_table(path, "csv", header, columns)
+            _write_table(path, "csv", dict(zip(header, columns)))
             assert path.with_suffix(".csv").read_bytes() == want.encode()
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -569,7 +602,7 @@ class TestWriteTable:
         header = [f"c{i}" for i in range(len(columns))]
         with tempfile.TemporaryDirectory() as out:
             path = Path(out) / "table"
-            _write_table(path, "json", header, columns)
+            _write_table(path, "json", dict(zip(header, columns)))
             payload = read_json(path.with_suffix(".json"))
         assert payload["schema_version"] == 2
         assert list(payload["columns"]) == header
@@ -686,17 +719,56 @@ class TestResourceFailures:
             assert capsys.readouterr().err.splitlines()[1].startswith("out:")
 
     @pytest.mark.parametrize(
-        "command,name",
+        "command,name,earlier",
         [
-            ("single-photon", "single_photon.json"),
-            ("ensemble", "ensemble_records.csv"),
-            ("ensemble", "ensemble_summary.json"),
+            ("single-photon", "single_photon.json", False),
+            ("ensemble", "ensemble_records.csv", False),
+            ("ensemble", "ensemble_summary.json", False),
+            ("ensemble", "ensemble_summary.json", True),
         ],
+        ids=["single-photon-single_photon.json", "ensemble-ensemble_records.csv",
+             "ensemble-ensemble_summary.json", "ensemble-over-an-earlier-output"],
     )
-    def test_unwritable_output_file_exits_one(self, tmp_path, capsys, command, name):
+    def test_unwritable_output_file_exits_one(self, tmp_path, capsys, command, name, earlier):
+        if earlier:  # a complete earlier output, then a run whose records differ
+            assert main([command, "--trials", "50", "--out", str(tmp_path)]) == EXIT_OK
+            (tmp_path / name).unlink()
         (tmp_path / name).mkdir()
-        assert main([command, "--trials", "50", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert main([command, "--trials", "50", "--seed", "9", "--out", str(tmp_path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
-        # All or nothing: no file of the set, and no temporary file, is left.
-        assert [path.name for path in tmp_path.iterdir()] == [name]
+        # All or nothing: --out is as it was, earlier files byte for byte, and holds
+        # no temporary file.
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert after == before and len(before) == earlier
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*before, name])
+
+
+class TestOneOutputPath:
+    def test_output_set_is_entered_only_in_main(self):
+        """Every reference to _output_set in the package, by the top-level definition that holds it."""
+        sites = []
+        for path in sorted(Path(mzkick.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    names = [getattr(node, key, None) for key in ("id", "attr", "name")]
+                    if "_output_set" in names:
+                        sites.append((path.name, getattr(top, "name", None)))
+        assert sites == [("cli.py", "_output_set"), ("cli.py", "main")]
+
+    def test_interrupted_move_puts_the_earlier_files_back(self, tmp_path, capsys, monkeypatch):
+        argv = ["ensemble", "--trials", "50", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        replace = os.replace
+
+        def interrupted(src, dst):
+            if Path(dst).name == "ensemble_summary.json":
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--seed", "9"])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
