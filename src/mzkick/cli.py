@@ -158,9 +158,12 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
         kind = FIELD_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: must be a number (got {value!r})")
-        if kind is int and not float(value).is_integer():
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key}: must be an integer (got {value!r})")
-        values[key] = kind(value)
+        try:
+            values[key] = kind(value)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"{key}: must be finite (got {value!r})") from None
     cfg = ScenarioConfig(**values)
     cfg.validate()
     return cfg
@@ -331,9 +334,10 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
 def _output_set(out_dir: Path):
     """Yield a fresh staging directory inside out_dir to write this run's data files
     to; then move them into out_dir with os.replace. Each file a move replaces is
-    first hard-linked into the staging directory, so if any move fails, the moved
-    names get their earlier file back or are removed: out_dir gains all of the set
-    or is left as it was. The staging directory is removed in every case."""
+    first hard-linked into the staging directory, or copied where out_dir's
+    filesystem has no hard links, so if any move fails, the moved names get their
+    earlier file back or are removed: out_dir gains all of the set or is left as it
+    was. The staging directory is removed in every case."""
     staging = Path(tempfile.mkdtemp(prefix=".mzkick-", dir=out_dir))
     moved = []
     try:
@@ -341,7 +345,10 @@ def _output_set(out_dir: Path):
         names = sorted(path.name for path in staging.iterdir())
         for name in names:
             if (out_dir / name).is_file():
-                os.link(out_dir / name, staging / f"{name}~", follow_symlinks=False)
+                try:
+                    os.link(out_dir / name, staging / f"{name}~", follow_symlinks=False)
+                except OSError:  # a filesystem without hard links
+                    shutil.copy2(out_dir / name, staging / f"{name}~", follow_symlinks=False)
         for name in names:
             os.replace(staging / name, out_dir / name)
             moved.append(name)
@@ -359,8 +366,8 @@ def _output_set(out_dir: Path):
 def _write_table(path: Path, fmt: str, table: dict[str, np.ndarray]) -> None:
     """Write table ({name: 1-D array}) to path.csv, or to path.json as
     {"schema_version", "columns": {name: values}}. Every value is its repr, so -0.0
-    stays -0.0. CSV builds each column as a NUL-padded text matrix (see _csv_text)
-    and drops the NULs; JSON is unindented so that the C encoder writes it."""
+    stays -0.0. CSV spells each column by digits or by repr into a NUL-padded text
+    matrix (see _csv_text) and drops the NULs; JSON is unindented for the C encoder."""
     if fmt == "csv":
         ends = [","] * (len(table) - 1) + ["\n"]
         body = np.concatenate([_csv_text(col, end) for col, end in zip(table.values(), ends)], axis=1)
@@ -376,10 +383,10 @@ def _write_table(path: Path, fmt: str, table: dict[str, np.ndarray]) -> None:
 def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
     """repr(value) + end for each entry of col, as the rows of a NUL-padded uint8 matrix.
 
-    Integer columns are spelled out by digit arithmetic (_digit_text), which costs the
-    same for a column of distinct values, such as the trial index, as for one that
-    repeats. Float columns call repr once per distinct bit pattern."""
-    if col.dtype.kind in "iu":
+    A non-negative integer column is spelled out by digits (_digit_text), at the same
+    cost whether its values repeat or not, as the trial index's do not. Any other
+    column, negative integers included, calls repr once per distinct bit pattern."""
+    if col.dtype.kind in "iu" and col.min(initial=0) >= 0:
         return _digit_text(col, end)
     bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
     text = np.array([repr(v) + end for v in bits.view(col.dtype).tolist()], dtype=bytes)
@@ -387,29 +394,19 @@ def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
 
 
 def _digit_text(col: np.ndarray, end: str) -> np.ndarray:
-    """The decimal text of an integer column plus end, right-aligned in NUL-padded rows.
-
-    The magnitude is taken as uint64, so -(2**63) is exact, then narrowed to the
-    smallest unsigned type that holds the largest one, which makes each divmod by 10
-    cheaper. The rows are one place wider than the longest magnitude only when the
-    column holds a negative value: that place is for its sign."""
-    negative = col < 0
-    rest = col.astype(np.uint64)
-    np.negative(rest, out=rest, where=negative)
-    top = rest.max(initial=0)
-    rest = rest.astype(np.min_scalar_type(top))
-    sign = int(negative.any())
-    digits = sign + len(str(top))
+    """The decimal text of a non-negative integer column plus end, right-aligned in
+    NUL-padded rows, from divmod by 10 in the smallest unsigned type that holds the
+    largest value (a narrower type divides faster)."""
+    top = col.max(initial=0)
+    rest = col.astype(np.min_scalar_type(top))
+    digits = len(str(top))
     text = np.zeros((len(col), digits + len(end)), np.uint8)
     text[:, digits:] = np.frombuffer(end.encode(), np.uint8)
     live = True  # the ones place is written even for 0, a higher one only while the rest is nonzero
-    for place in range(digits - 1, sign - 1, -1):
+    for place in range(digits - 1, -1, -1):
         rest, digit = np.divmod(rest, 10)
         text[:, place] = (digit + ord("0")) * live
         live = rest != 0
-    if sign:
-        rows = np.flatnonzero(negative)
-        text[rows, (text[rows] != 0).argmax(axis=1) - 1] = ord("-")
     return text
 
 

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
@@ -92,8 +93,12 @@ class TestConfigLoading:
             (b"\xff\xfe{", "config:"),  # not UTF-8
             (b"[1]", "config:"),
             (b'{"seed": 1.5}', "seed:"),
+            (b'{"grid_points": 1%s}' % (b"0" * 400), "grid_points:"),  # beyond the float range
+            (b'{"omega": 1%s}' % (b"0" * 400), "omega:"),
+            (b'{"nbar": -1%s}' % (b"0" * 400), "nbar:"),
         ],
-        ids=["missing", "directory", "invalid-json", "not-utf8", "non-object", "fractional-seed"],
+        ids=["missing", "directory", "invalid-json", "not-utf8", "non-object", "fractional-seed",
+             "huge-grid-points", "huge-omega", "huge-negative-nbar"],
     )
     def test_bad_config_file_exits_two_before_output(self, tmp_path, capsys, content, field):
         path = tmp_path / "scenario.json"
@@ -108,7 +113,11 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "argv,field",
-        [(["--grid-points", "15"], "grid_points:"), (["--seed", str(2**64)], "seed:")],
+        [
+            (["--grid-points", "15"], "grid_points:"),
+            (["--seed", str(2**64)], "seed:"),
+            (["--seed", str(10**400)], "seed:"),  # beyond the float range
+        ],
     )
     def test_out_of_range_integer_flag_exits_two(self, tmp_path, capsys, argv, field):
         assert main(["single-photon", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -426,8 +435,9 @@ def extreme(values, typical):
 
 
 # Sizes numpy cannot describe lead, because sampled_from draws its first
-# entries most often; the cap and 10**15 it describes but cannot allocate.
-EXTREME_SIZES = [2**63 - 1, 10**30, ARRAY_LENGTH_MAX + 1, ARRAY_LENGTH_MAX, 10**15]
+# entries most often (10**400 is past the float range too); the cap and 10**15
+# it describes but cannot allocate.
+EXTREME_SIZES = [10**400, 2**63 - 1, 10**30, ARRAY_LENGTH_MAX + 1, ARRAY_LENGTH_MAX, 10**15]
 
 
 def extreme_size(typical):
@@ -586,6 +596,7 @@ class TestWriteTable:
     @given(table_columns())
     @example(INT_EDGES)
     @example([-np.arange(40)])
+    @example([np.array([0, 9, 10, np.iinfo(dtype).max], dtype=dtype) for dtype in INT_DTYPES])
     def test_csv_matches_row_wise_repr(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
         line = ",".join(["%r"] * len(columns)) + "\n"
@@ -660,6 +671,11 @@ class TestModuleEntryPoint:
         assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
+def link_refused(src, dst, **kwargs):
+    """os.link as it fails on a filesystem without hard links."""
+    raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), str(src))
+
+
 class TestResourceFailures:
     def test_closed_stdout_exits_one_without_traceback(self, tmp_path):
         # 3,000 zero-kick rows print far more than a pipe buffer holds, so the
@@ -696,7 +712,10 @@ class TestResourceFailures:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("size", [ARRAY_LENGTH_MAX + 1, 2**60 - 1, 2**63 - 1, 10**30])
+    @pytest.mark.parametrize(
+        "size",
+        [ARRAY_LENGTH_MAX + 1, 2**60 - 1, 2**63 - 1, 10**30, pytest.param(10**400, id="10**400")],
+    )
     @pytest.mark.parametrize(
         "argv,field",
         [
@@ -719,17 +738,23 @@ class TestResourceFailures:
             assert capsys.readouterr().err.splitlines()[1].startswith("out:")
 
     @pytest.mark.parametrize(
-        "command,name,earlier",
+        "command,name,earlier,hard_links",
         [
-            ("single-photon", "single_photon.json", False),
-            ("ensemble", "ensemble_records.csv", False),
-            ("ensemble", "ensemble_summary.json", False),
-            ("ensemble", "ensemble_summary.json", True),
+            ("single-photon", "single_photon.json", False, True),
+            ("ensemble", "ensemble_records.csv", False, True),
+            ("ensemble", "ensemble_summary.json", False, True),
+            ("ensemble", "ensemble_summary.json", True, True),
+            ("ensemble", "ensemble_summary.json", True, False),
         ],
         ids=["single-photon-single_photon.json", "ensemble-ensemble_records.csv",
-             "ensemble-ensemble_summary.json", "ensemble-over-an-earlier-output"],
+             "ensemble-ensemble_summary.json", "ensemble-over-an-earlier-output",
+             "ensemble-over-an-earlier-output-without-hard-links"],
     )
-    def test_unwritable_output_file_exits_one(self, tmp_path, capsys, command, name, earlier):
+    def test_unwritable_output_file_exits_one(
+        self, tmp_path, capsys, monkeypatch, command, name, earlier, hard_links
+    ):
+        if not hard_links:
+            monkeypatch.setattr(os, "link", link_refused)
         if earlier:  # a complete earlier output, then a run whose records differ
             assert main([command, "--trials", "50", "--out", str(tmp_path)]) == EXIT_OK
             (tmp_path / name).unlink()
@@ -772,3 +797,14 @@ class TestOneOutputPath:
         with pytest.raises(KeyboardInterrupt):
             main([*argv, "--seed", "9"])
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_rerun_without_hard_links_overwrites(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "link", link_refused)
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        argv = ["ensemble", "--trials", "50", "--seed", "9"]
+        assert main([*argv, "--out", str(fresh)]) == EXIT_OK
+        assert main(["ensemble", "--trials", "50", "--out", str(out)]) == EXIT_OK
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        # The second run's own bytes, and no staging directory left behind.
+        files = {path.name: path.read_bytes() for path in fresh.iterdir()}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == files
