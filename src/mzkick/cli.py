@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import POISSON_NBAR_MAX, expected_kick_report, fluctuation_analysis, sample_runs
-from .errors import ConfigError, DegenerateSampleError, MzkickError
+from .ensemble import POISSON_NBAR_MAX, binary_scaled, expected_kick_report, fluctuation_analysis, sample_runs
+from .errors import ConfigError, ConstraintViolationError, DegenerateSampleError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
 from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_grid, gaussian_pointer, overlap
 from .weak_measurement import (
@@ -137,12 +137,23 @@ class ScenarioConfig:
 FIELD_TYPES = {f.name: int if f.type in ("int", int) else float for f in fields(ScenarioConfig)}
 
 
+class _LongInteger(str):
+    """The digits of a JSON integer too long for int() (sys.get_int_max_str_digits())."""
+
+
+def _parse_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
 def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
     """Merge defaults, an optional JSON config file, and CLI flag overrides."""
     values: dict = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(), parse_int=_parse_int)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {path} ({exc})") from exc
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
@@ -156,6 +167,8 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in values.items():
         kind = FIELD_TYPES[key]
+        if isinstance(value, _LongInteger):  # too long to print, as it is to convert
+            raise ConfigError(f"{key}: out of range (got an integer of {len(value.lstrip('-'))} digits)")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: must be a number (got {value!r})")
         if kind is int and isinstance(value, float) and not value.is_integer():
@@ -255,17 +268,14 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
     report = _expected_totals(setup)
     with np.errstate(over="ignore"):  # an overflowing momentum is inf, refused below
         records = sample_runs(setup, cfg.trials, cfg.seed)
-    # The statistics square the momenta, sum them over the trials and multiply
-    # two such sums, whose product is at most (2*trials*N*peak)**2 for totals
-    # of at most N.
-    peak = float(abs(records.momentum).max())
-    bound = 2.0 * cfg.trials * int(records.totals.max()) * peak
-    if not (peak == 0.0 or _is_normal(peak * peak)) or not math.isfinite(bound * bound):
-        raise ConfigError(f"omega: run momenta up to {peak} leave the float range of the statistics")
-    sample_mean = float(records.momentum.mean())
+    try:
+        momenta, e = binary_scaled(records.momentum)
+    except ConstraintViolationError:
+        raise ConfigError(f"omega: a drawn run momentum overflows (got {cfg.omega})") from None
+    sample_mean = math.ldexp(float(momenta.mean()), e)
     standard_error = None  # undefined for a single trial
     if cfg.trials > 1:
-        standard_error = float(records.momentum.std(ddof=1)) / math.sqrt(cfg.trials)
+        standard_error = math.ldexp(float(momenta.std(ddof=1)), e) / math.sqrt(cfg.trials)
 
     def _corr(**kwargs):
         try:

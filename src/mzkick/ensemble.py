@@ -129,7 +129,17 @@ def sample_runs(setup: OpticalSetup, trials: int, seed: int) -> RunTable:
     return RunTable(totals, d1, d2, d2 * kick2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
+def binary_scaled(column) -> tuple[np.ndarray, int]:
+    """column / 2**e as floats, and e = math.frexp(max|column|)[1]: an exact rescale into (-1, 1)
+    whose mean and deviations are 2**-e times the column's, and whose sums of squares can neither
+    overflow nor underflow. Raises ConstraintViolationError on an infinite or nan entry."""
+    column = np.asarray(column, dtype=float)
+    mantissa, e = math.frexp(float(np.max(np.abs(column))))
+    if not math.isfinite(mantissa):
+        raise ConstraintViolationError(f"a column holds {mantissa}; its statistics are undefined")
+    return np.ldexp(column, -e), e
+
+
 def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
                          conditional_on_total: bool = False) -> float:
     """Pearson correlation between the D1 count and the mirror momentum.
@@ -141,17 +151,13 @@ def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
     counts are independent, so the unconditional correlation vanishes.
 
     conditional_on_total pools the correlation within groups of equal total
-    photon number (the fixed-total reading).
+    photon number (the fixed-total reading). A nan or inf momentum raises ConstraintViolationError.
     """
     if len(records) < 30:
         raise DegenerateSampleError(f"need at least 30 records, got {len(records)}")
     table = RunTable.from_records(records)
-    n1 = table.d1.astype(float)
-    mom = np.asarray(table.momentum, dtype=float)
-    peak = float(np.max(np.abs(mom)))
-    if peak != 0.0 and peak * peak < np.finfo(float).tiny:
-        raise ConstraintViolationError(f"momenta up to {peak} square below the normal float range "
-                                       "(underflow); correlation undefined")
+    n1, _ = binary_scaled(table.d1)
+    mom, _ = binary_scaled(table.momentum)
     bounds = []  # one group: the plain Pearson correlation
     if conditional_on_total:
         # A stable sort makes each total's runs one slice in trial order: the
@@ -171,9 +177,6 @@ def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
         sxy += float(np.sum(dx * dy))
         sxx += float(np.sum(dx * dx))
         syy += float(np.sum(dy * dy))
-    if not all(map(math.isfinite, (sxx, syy, sxy, sxx * syy))):
-        raise ConstraintViolationError("the sums of squared deviations overflow the float range "
-                                       f"(momenta up to {peak}); correlation undefined")
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
                                     "correlation undefined")

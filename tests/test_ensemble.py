@@ -216,33 +216,53 @@ class TestFluctuationAnalysis:
         assert abs(corr - 1.0) < 1e-12
 
     @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_large_kicks_keep_the_value_or_raise(self, mode):
-        # The statistic is scale-invariant until the sums of squares overflow.
+    def test_large_kicks_keep_the_value(self, mode):
+        # Pearson's r is scale-invariant, and the columns are scaled by a power of
+        # two before any square is summed, so a power-of-two kick keeps every bit.
         table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
 
         def with_kick(kick):
             return RunTable(table.totals, table.d1, table.d2, table.d2 * kick)
 
         reference = fluctuation_analysis(with_kick(-1.0), **mode)
-        assert fluctuation_analysis(with_kick(-1e140), **mode) == pytest.approx(reference, rel=1e-12)
-        for kick in (-1e152, -1e306):
-            with pytest.raises(ConstraintViolationError, match="overflow"):
-                fluctuation_analysis(with_kick(kick), **mode)
+        for k in (500, 1000):
+            assert fluctuation_analysis(with_kick(-2.0**k), **mode) == reference
+        for kick in (-1e140, -1e152, -1e306):
+            assert fluctuation_analysis(with_kick(kick), **mode) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_tiny_kicks_keep_the_value_or_raise(self, mode):
-        # Squared momenta below the normal float range lose precision (subnormals)
-        # or vanish, so the statistic is refused rather than silently degraded.
+    def test_tiny_kicks_keep_the_value(self, mode):
+        # Squared momenta below the normal float range would lose precision or
+        # vanish; in the power-of-two scale no square leaves it.
         table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
 
         def with_kick(kick):
             return RunTable(table.totals, table.d1, table.d2, table.d2 * kick)
 
         reference = fluctuation_analysis(with_kick(-1.0), **mode)
-        assert fluctuation_analysis(with_kick(-1e-150), **mode) == pytest.approx(reference, rel=1e-12)
-        for kick in (-1e-160, -1e-300):
-            with pytest.raises(ConstraintViolationError, match="underflow"):
-                fluctuation_analysis(with_kick(kick), **mode)
+        for k in (-500, -1000):
+            assert fluctuation_analysis(with_kick(-2.0**k), **mode) == reference
+        for kick in (-1e-150, -1e-160, -1e-300):
+            assert fluctuation_analysis(with_kick(kick), **mode) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_non_finite_momentum_raises(self, bad):
+        table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
+        momentum = table.momentum.copy()
+        momentum[3] = bad
+        with pytest.raises(ConstraintViolationError, match=f"holds {abs(bad)}"):
+            fluctuation_analysis(RunTable(table.totals, table.d1, table.d2, momentum))
+
+    @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
+    def test_huge_counts_give_a_finite_correlation(self, mode):
+        # Counts near 1e200 square far beyond the float range unless scaled first.
+        table = sample_runs(make_setup(nbar=100.0), 100, seed=4)
+        scale = 2**664  # about 1.2e200, an exact int
+        records = [RunRecord(int(n) * scale, int(a) * scale, int(b) * scale, float(m) * 2.0**664)
+                   for n, a, b, m in zip(*table.columns)]
+        corr = fluctuation_analysis(records, **mode)
+        assert math.isfinite(corr)
+        assert corr == fluctuation_analysis(table, **mode)
 
     def test_requires_thirty_records(self):
         records = sample_runs(make_setup(nbar=1e4), 10, seed=1)
