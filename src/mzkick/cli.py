@@ -48,6 +48,10 @@ DEFAULT_SCAN_RATIOS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 
 # The longest complex128 array numpy can describe: its byte count fits in intp.
 ARRAY_LENGTH_MAX = np.iinfo(np.intp).max // 16
 
+# Rows per block in which _write_table spells a table: its text, not the whole
+# table's, is what is held in memory at once.
+TABLE_BLOCK_ROWS = 2**15
+
 # A decimal number with a leading minus, exponent form included.
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -276,6 +280,9 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
     standard_error = None  # undefined for a single trial
     if cfg.trials > 1:
         standard_error = math.ldexp(float(momenta.std(ddof=1)), e) / math.sqrt(cfg.trials)
+    if not all(x == 0.0 or _is_normal(x) for x in (sample_mean, standard_error or 0.0)):
+        raise ConfigError(f"omega: the sample mean and standard error must be zero or normal floats "
+                          f"(got {sample_mean}, {standard_error} at omega {cfg.omega})")
 
     def _corr(**kwargs):
         try:
@@ -375,19 +382,30 @@ def _output_set(out_dir: Path):
 
 def _write_table(path: Path, fmt: str, table: dict[str, np.ndarray]) -> None:
     """Write table ({name: 1-D array}) to path.csv, or to path.json as
-    {"schema_version", "columns": {name: values}}. Every value is its repr, so -0.0
-    stays -0.0. CSV spells each column by digits or by repr into a NUL-padded text
-    matrix (see _csv_text) and drops the NULs; JSON is unindented for the C encoder."""
+    {"schema_version", "columns": {name: values}}, TABLE_BLOCK_ROWS rows at a time, so
+    the text in memory is one block's. Every value is its repr, so -0.0 stays -0.0. CSV
+    spells each block of each column by digits or by repr into a NUL-padded text matrix
+    (see _csv_text) and drops the NULs; JSON gives the bytes of
+    json.dumps(payload, allow_nan=False) + "\\n", a column's list spelled block by block."""
+    rows = len(next(iter(table.values())))
+    blocks = [slice(i, i + TABLE_BLOCK_ROWS) for i in range(0, rows, TABLE_BLOCK_ROWS)]
     if fmt == "csv":
         ends = [","] * (len(table) - 1) + ["\n"]
-        body = np.concatenate([_csv_text(col, end) for col, end in zip(table.values(), ends)], axis=1)
         with open(path.with_suffix(".csv"), "wb") as f:
             f.write((",".join(table) + "\n").encode())
-            f.write(body[body != 0])
+            for block in blocks:
+                body = np.concatenate([_csv_text(col[block], end) for col, end in zip(table.values(), ends)],
+                                      axis=1)
+                f.write(body[body != 0])
     else:
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "columns": {name: col.tolist() for name, col in table.items()}}
-        path.with_suffix(".json").write_text(json.dumps(payload, allow_nan=False) + "\n")
+        with open(path.with_suffix(".json"), "w") as f:
+            f.write(f'{{"schema_version": {SCHEMA_VERSION}, "columns": {{')
+            for i, (name, col) in enumerate(table.items()):
+                f.write(", " * (i > 0) + json.dumps(name) + ": [")
+                for j, block in enumerate(blocks):
+                    f.write(", " * (j > 0) + json.dumps(col[block].tolist(), allow_nan=False)[1:-1])
+                f.write("]")
+            f.write("}}\n")
 
 
 def _csv_text(col: np.ndarray, end: str) -> np.ndarray:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mzkick
+from mzkick import cli
 from mzkick.cli import (
     ARRAY_LENGTH_MAX,
     EXIT_CONFIG,
@@ -34,6 +35,7 @@ from mzkick.cli import (
     load_config,
     main,
     run_decoherence_scan,
+    run_ensemble,
     run_single_photon,
 )
 from mzkick.errors import ConfigError
@@ -189,6 +191,20 @@ class TestSinglePhoton:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * 16 * n, f"peak {peak / (16 * n):.2f} complex grid arrays"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_writing_an_ensemble_table(self, tmp_path, fmt):
+        # Tables are spelled a block of rows at a time, so writing one holds a
+        # block's text, not the whole file's (3x and 6x the file when it held it).
+        _, columns = run_ensemble(ScenarioConfig(nbar=1e4, trials=300_000))
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "table", fmt, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / f"table.{fmt}").stat().st_size
+        assert peak <= 0.5 * size, f"peak {peak / size:.2f} times the {size}-byte file"
 
     def test_coarse_grid_names_spacing(self, tmp_path, capsys):
         code = main(["single-photon", "--grid-points", "16", "--out", str(tmp_path)])
@@ -353,9 +369,14 @@ class TestFloatRange:
               "--trials", "20000"], "omega"),
             (["decoherence", "--ratios", "0.5", "1e300"], "grid_halfwidth"),
             (["single-photon", "--omega", "-1e-3"], "omega"),
+            # normal momenta, but a subnormal standard error
+            (["ensemble", "--omega", "1e-307", "--trials", "1000"], "omega"),
+            (["ensemble", "--omega", "1e-308", "--trials", "1000"], "omega"),
+            (["ensemble", "--omega", "3e-309", "--trials", "1000"], "omega"),
         ],
         ids=["spread-huge", "spread-square-overflow", "spread-tiny", "totals", "kick",
-             "momentum-overflow", "ratio-huge", "negative-exponent"],
+             "momentum-overflow", "ratio-huge", "negative-exponent", "statistics-subnormal-1e-307",
+             "statistics-subnormal-1e-308", "statistics-subnormal-3e-309"],
     )
     def test_out_of_range_exits_two_before_writing(self, tmp_path, capsys, argv, field):
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -363,8 +384,8 @@ class TestFloatRange:
         assert f"\n{field}:" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("omega", ["1e200", "1e150", "1e-160"],
-                             ids=["momentum-huge", "statistics", "momentum-tiny"])
+    @pytest.mark.parametrize("omega", ["1e200", "1e150", "1e-160", "1e-300"],
+                             ids=["momentum-huge", "statistics", "momentum-tiny", "statistics-tiny"])
     def test_far_omega_gives_strict_statistics(self, tmp_path, capsys, omega):
         assert main(["ensemble", "--omega", omega, "--trials", "50", "--out", str(tmp_path)]) == EXIT_OK
         report = read_json(tmp_path / "ensemble_summary.json")
@@ -613,6 +634,34 @@ def table_columns(draw):
 
 INT_EDGES = [np.array(int_edges(dtype), dtype=dtype) for dtype in INT_DTYPES]
 
+# Tables whose blocks of 3 rows differ: a column negative only in its second
+# block, a digit width that grows and shrinks, 0.0 and -0.0 a block apart, and no rows.
+BLOCK_EDGE_TABLES = [
+    [np.array([0, 1, 2, 3, -4], dtype=np.int64), np.arange(5, dtype=np.uint8)],
+    [np.array([7, 8, 9, 10, 99999, 100, 0, 1, 2], dtype=np.uint32)],
+    [np.array([0.0, 1.5, 0.0, -0.0, -1.5, -0.0])],
+    [np.array([], dtype=np.int64), np.array([], dtype=np.float64)],
+]
+
+
+def block_edge_examples(test):
+    for columns in BLOCK_EDGE_TABLES:
+        test = example(columns)(test)
+    return test
+
+
+def written_at_each_block_size(fmt: str, columns: list[np.ndarray]) -> list[bytes]:
+    """The file _write_table makes of columns (named c0, c1, ...), with blocks of 3
+    rows and with blocks of TABLE_BLOCK_ROWS."""
+    table = {f"c{i}": col for i, col in enumerate(columns)}
+    written = []
+    for block_rows in (3, cli.TABLE_BLOCK_ROWS):
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+            _write_table(Path(out) / "table", fmt, table)
+            written.append((Path(out) / f"table.{fmt}").read_bytes())
+    return written
+
 
 class TestWriteTable:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -620,28 +669,27 @@ class TestWriteTable:
     @example(INT_EDGES)
     @example([-np.arange(40)])
     @example([np.array([0, 9, 10, np.iinfo(dtype).max], dtype=dtype) for dtype in INT_DTYPES])
+    @block_edge_examples
     def test_csv_matches_row_wise_repr(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
         line = ",".join(["%r"] * len(columns)) + "\n"
         rows = zip(*(col.tolist() for col in columns))
         want = ",".join(header) + "\n" + "".join(line % row for row in rows)
-        with tempfile.TemporaryDirectory() as out:
-            path = Path(out) / "table"
-            _write_table(path, "csv", dict(zip(header, columns)))
-            assert path.with_suffix(".csv").read_bytes() == want.encode()
+        for written in written_at_each_block_size("csv", columns):
+            assert written == want.encode()
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(table_columns())
+    @block_edge_examples
     def test_json_columns_keep_every_bit(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
-        with tempfile.TemporaryDirectory() as out:
-            path = Path(out) / "table"
-            _write_table(path, "json", dict(zip(header, columns)))
-            payload = read_json(path.with_suffix(".json"))
-        assert payload["schema_version"] == 2
-        assert list(payload["columns"]) == header
-        for name, col in zip(header, columns):
-            assert bit_patterns(payload["columns"][name]) == bit_patterns(col.tolist())
+        want = {"schema_version": 2, "columns": {name: col.tolist() for name, col in zip(header, columns)}}
+        for written in written_at_each_block_size("json", columns):
+            assert written == (json.dumps(want, allow_nan=False) + "\n").encode()
+            payload = strict_loads(written)
+            assert list(payload["columns"]) == header
+            for name, col in zip(header, columns):
+                assert bit_patterns(payload["columns"][name]) == bit_patterns(col.tolist())
 
 
 class TestJsonTables:
