@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, filter_spectrum, mean_momentum, shift
+from .pointer import PointerState, filter_spectrum, grid_blocks, mean_momentum, shift
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
@@ -77,14 +77,6 @@ class JointState(NamedTuple):
     arm_a: PointerState
     arm_b: PointerState
 
-    @property
-    def comp_a(self) -> np.ndarray:
-        return self.psi.a * self.arm_a.amplitudes
-
-    @property
-    def comp_b(self) -> np.ndarray:
-        return self.psi.b * self.arm_b.amplitudes
-
 
 @dataclass(frozen=True)
 class PostselectionResult:
@@ -136,9 +128,16 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     and its mean momentum. The probability reading assumes the joint state is
     normalized (couple_with_kick guarantees this; first_order_joint does not).
     """
-    cond = phi_post.a.conjugate() * joint.comp_a + phi_post.b.conjugate() * joint.comp_b
     grid = joint.arm_a.grid
-    probability = float(grid.integrate(np.abs(cond) ** 2))
+    ca, cb = phi_post.a.conjugate(), phi_post.b.conjugate()
+    a, b = joint.psi.a, joint.psi.b
+    amp_a, amp_b = joint.arm_a.amplitudes, joint.arm_b.amplitudes
+    cond = np.empty(grid.n, dtype=np.complex128)
+    # The products in the order the whole-grid expression took them, so a
+    # one-block grid keeps its bits (complex products may fuse multiply-adds).
+    for s in grid_blocks(grid.n):
+        np.add(ca * (a * amp_a[s]), cb * (b * amp_b[s]), out=cond[s])
+    probability = float(grid.integrate(lambda s: np.abs(cond[s]) ** 2))
     if probability < ZERO_OVERLAP_TOL:
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"

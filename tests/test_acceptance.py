@@ -248,11 +248,12 @@ def test_criterion_11_first_order_validity_window():
         pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
         exact = couple_with_kick(psi, pointer, setup.delta_kick)
         approx = first_order_joint(psi, pointer, setup.delta_kick)
+        exact_a, exact_b = psi.a * exact.arm_a.amplitudes, psi.b * exact.arm_b.amplitudes
         num = max(
-            float(np.max(np.abs(exact.comp_a - approx.comp_a))),
-            float(np.max(np.abs(exact.comp_b - approx.comp_b))),
+            float(np.max(np.abs(exact_a - psi.a * approx.arm_a.amplitudes))),
+            float(np.max(np.abs(exact_b - psi.b * approx.arm_b.amplitudes))),
         )
-        den = max(float(np.max(np.abs(exact.comp_a))), float(np.max(np.abs(exact.comp_b))))
+        den = max(float(np.max(np.abs(exact_a))), float(np.max(np.abs(exact_b))))
         return num / den
 
     small, large = rel_err(1e-3), rel_err(1.0)

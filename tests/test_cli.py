@@ -179,9 +179,11 @@ class TestSinglePhoton:
         assert not (tmp_path / "single_photon.json").exists()
 
     def test_peak_memory_on_a_wide_grid(self):
-        # The pointer, its shifted copy, the grid points and widths, and the
-        # post-selection's working arrays: about 5 complex grid arrays, with no
-        # copy of a fresh array and no conditional pointer kept for the next.
+        # The pointer, its shifted copy, the conditional pointer and the grid
+        # points (half an array), plus block-sized working arrays: 4.16 complex
+        # grid arrays at 2**18 points in 2**16-point blocks (5.03 when every
+        # pass took whole-grid temporaries), with no copy of a fresh array and
+        # no conditional pointer kept for the next.
         n = 2**18
         cfg = ScenarioConfig(grid_points=n)
         tracemalloc.start()
@@ -190,7 +192,18 @@ class TestSinglePhoton:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * 16 * n, f"peak {peak / (16 * n):.2f} complex grid arrays"
+        assert peak <= 4.25 * 16 * n, f"peak {peak / (16 * n):.2f} complex grid arrays"
+
+    def test_multi_block_grid_meets_the_closed_forms(self):
+        # 2**17 + 1 points: three blocks per grid pass, two per integral.
+        report = run_single_photon(ScenarioConfig(grid_points=2**17 + 1))
+        config = report["config"]
+        kick, p_d1, d2_kick = gaussian_channel_closed_forms(config)
+        d1, d2 = report["channels"]
+        tol = 1e-8 * max(1.0, abs(kick))
+        rounding = 64.0 * sys.float_info.epsilon * (abs(kick) + 8.0 * config["delta_spread"])
+        assert d1["probability"] == pytest.approx(p_d1, abs=tol)
+        assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol + rounding)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_writing_an_ensemble_table(self, tmp_path, fmt):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import mzkick
 from mzkick.errors import ConstraintViolationError, GridCoverageError, GridMismatchError
 from mzkick.pointer import (
+    GRID_BLOCK,
     TAIL_DENSITY_RATIO,
     MomentumGrid,
     PointerState,
@@ -19,6 +21,7 @@ from mzkick.pointer import (
     default_grid,
     filter_spectrum,
     gaussian_pointer,
+    grid_blocks,
     mean_momentum,
     overlap,
     shift,
@@ -67,12 +70,6 @@ class TestMomentumGrid:
         with pytest.raises(ConstraintViolationError, match="delta_spread"):
             default_grid(spread)
 
-    def test_widths_are_read_only(self, grid):
-        assert np.array_equal(grid.widths, np.diff(grid.points))
-        assert grid.widths is grid.widths
-        with pytest.raises(ValueError):
-            grid.widths[0] = 1.0
-
 
 # Samples the trapezoidal rule must carry through unchanged: signed zeros,
 # subnormals, and values up to 1e100 (so that no sum overflows).
@@ -97,7 +94,7 @@ class TestIntegrate:
     @given(grid_and_samples())
     def test_bit_identical_to_numpy_trapezoid(self, case):
         grid, y = case
-        got, want = grid.integrate(y), np.trapezoid(y, grid.points)
+        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid.points)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -110,7 +107,7 @@ class TestGaussianPointer:
     def test_momentum_standard_deviation(self, gauss):
         # second moment of the density exp(-p^2/spread^2) is spread^2/2
         p = gauss.grid.points
-        second = np.trapezoid(p * p * gauss.density(), p)
+        second = np.trapezoid(p * p * (np.abs(gauss.amplitudes) ** 2), p)
         assert math.sqrt(second) == pytest.approx(7.071067811865475, abs=1e-6)
 
     def test_rejects_narrow_grid(self):
@@ -145,7 +142,7 @@ class TestPointerStateIdentity:
         assert len({gauss, moved, gauss}) == 2
 
     def test_peak_is_the_maximum_density(self, gauss):
-        assert gauss.peak == float(np.max(gauss.density()))
+        assert gauss.peak == float(np.max(np.abs(gauss.amplitudes) ** 2))
 
 
 def gaussian_samples(grid):
@@ -277,7 +274,7 @@ def parent_shift(state: PointerState, delta_kick: float) -> PointerState:
     if abs(delta_kick) >= span:
         raise GridCoverageError(f"shift {delta_kick} exceeds the grid span {span}")
     p = grid.points
-    dens = state.density()
+    dens = np.abs(state.amplitudes) ** 2
     peak = float(dens.max())
     if delta_kick > 0.0:
         wrap = dens[p > grid.p_max - delta_kick]
@@ -422,3 +419,94 @@ class TestGridRefinement:
             results.append((mean_momentum(moved), abs(overlap(g, moved))))
         assert abs(results[0][0] - results[1][0]) < 1e-9
         assert abs(results[0][1] - results[1][1]) < 1e-9
+
+
+# Grid sizes on either side of a block edge: one block, exactly one, one more
+# sample (one more interval: still one integration block), two more, and a
+# grid of three full blocks and a short one.
+BLOCK_EDGE_SIZES = [16, GRID_BLOCK, GRID_BLOCK + 1, GRID_BLOCK + 2, 3 * GRID_BLOCK + 5]
+MULTI_BLOCK = 3 * GRID_BLOCK + 5  # odd, so the spectrum has no Nyquist bin
+
+
+def bump_state(grid: MomentumGrid) -> PointerState:
+    """A Gaussian a tenth of the grid wide: dead at both edges at any n."""
+    width = (grid.p_max - grid.p_min) / 20.0
+    return PointerState(grid, np.exp(-((grid.points / width) ** 2)).astype(np.complex128))
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_blocks_cover_every_sample_once(self, n):
+        blocks = grid_blocks(n)
+        assert [i for s in blocks for i in range(n)[s]] == list(range(n))
+        assert all(s.stop - s.start == GRID_BLOCK for s in blocks[:-1])
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_integrate_takes_every_interval_once(self, n):
+        grid = MomentumGrid(-1.0, 1.0, n)
+        read = []
+
+        def sample(s):
+            read.append(s)
+            return np.ones(len(range(n)[s]))
+
+        assert grid.integrate(sample) == pytest.approx(2.0, rel=1e-12)
+        assert 0 == read[0].start and read[-1].stop == n
+        # Neighbouring blocks share one end point, so every interval
+        # (i, i + 1) lies in exactly one block.
+        assert all(a.stop - 1 == b.start for a, b in zip(read, read[1:]))
+        assert [i for s in read for i in range(s.start, s.stop - 1)] == list(range(n - 1))
+        assert len(read) == -(-(n - 1) // GRID_BLOCK)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_integrate_agrees_with_numpy_trapezoid(self, n, dtype):
+        rng = np.random.default_rng(n)
+        grid = MomentumGrid(-3.0, 7.0, n)
+        y = rng.standard_normal(n).astype(dtype)
+        if dtype is np.complex128:
+            y.imag = rng.standard_normal(n)
+        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid.points)
+        if n <= GRID_BLOCK + 1:  # one block: numpy's own expression
+            assert got.tobytes() == want.tobytes()
+            return
+        # The block sums are added in order, where numpy sums all terms
+        # pairwise; each order is within (log2(n) + 8) eps of the summed
+        # magnitudes, so the two differ by at most 64 eps of them.
+        terms = np.diff(grid.points) * (y[1:] + y[:-1]) / 2.0
+        assert abs(got - want) <= 64 * sys.float_info.epsilon * np.sum(np.abs(terms))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_spectrum_blocks_see_numpy_frequencies(self, n):
+        state = bump_state(MomentumGrid(-10.0, 10.0, n))
+        seen = []
+
+        def response(freqs):
+            seen.append(freqs.copy())
+            return np.ones(freqs.size, dtype=np.complex128)
+
+        filter_spectrum(state, response)
+        assert len(seen) == len(grid_blocks(n))
+        assert np.concatenate(seen).tobytes() == np.fft.fftfreq(n, d=state.grid.spacing).tobytes()
+
+    @pytest.mark.parametrize("kick", [13.7, -0.3])
+    def test_shift_matches_the_whole_array_reference(self, kick):
+        state = gaussian_pointer(MomentumGrid(-120.0, 120.0, MULTI_BLOCK), SPREAD)
+        got = shift(state, kick).amplitudes
+        assert got.tobytes() == parent_shift(state, kick).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("where", [1, GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK + 7, MULTI_BLOCK - 2])
+    def test_peak_is_the_maximum_density_at_any_n(self, where):
+        rng = np.random.default_rng(where)
+        amp = rng.standard_normal(MULTI_BLOCK) + 1j * rng.standard_normal(MULTI_BLOCK)
+        amp[where] = 9.0 - 7.0j
+        amp[0] = amp[-1] = 0.0
+        state = PointerState(MomentumGrid(-1.0, 1.0, MULTI_BLOCK), amp)
+        assert state.peak == float(np.max(np.abs(amp) ** 2))
+
+    def test_moments_at_a_multi_block_grid(self):
+        state = gaussian_pointer(MomentumGrid(-120.0, 120.0, MULTI_BLOCK), SPREAD)
+        moved = shift(state, 13.7)
+        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert mean_momentum(moved) == pytest.approx(13.7, abs=1e-10)
+        assert abs(overlap(state, moved)) == pytest.approx(gaussian_overlap(13.7, SPREAD), abs=1e-12)
