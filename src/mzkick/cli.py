@@ -284,9 +284,9 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
         raise ConfigError(f"omega: the sample mean and standard error must be zero or normal floats "
                           f"(got {sample_mean}, {standard_error} at omega {cfg.omega})")
 
-    def _corr(**kwargs):
+    def _corr(*columns):
         try:
-            return fluctuation_analysis(records, **kwargs)
+            return fluctuation_analysis(*columns)
         except DegenerateSampleError:
             return None
 
@@ -298,8 +298,8 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
         "classical_reference": report.classical_reference,
         "d1_total_expected": report.d1_total,
         "d2_total_expected": report.d2_total,
-        "correlation_unconditional": _corr(),
-        "correlation_within_total": _corr(conditional_on_total=True),
+        "correlation_unconditional": _corr(records.d1, records.momentum),
+        "correlation_within_total": _corr(records.d1, records.momentum, records.totals),
     }
     return summary, {"trial": np.arange(cfg.trials), "N": records.totals, "n1": records.d1,
                      "n2": records.d2, "momentum": records.momentum}

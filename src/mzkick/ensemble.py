@@ -10,32 +10,13 @@ kick, so run-level mirror momentum attaches entirely to the D2 count.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classical_optics import classical_mirror_momentum
 from .errors import ConstraintViolationError, DegenerateSampleError
 from .weak_measurement import OpticalSetup, net_kick_d2
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One experimental run: photon counts and the resulting mirror momentum."""
-
-    total_photons: int
-    d1_count: int
-    d2_count: int
-    mirror_momentum: float
-
-    def __post_init__(self) -> None:
-        if min(self.total_photons, self.d1_count, self.d2_count) < 0:
-            raise ConstraintViolationError("photon counts must be non-negative")
-        if self.d1_count + self.d2_count != self.total_photons:
-            raise ConstraintViolationError(
-                f"counts {self.d1_count} + {self.d2_count} != total {self.total_photons}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,30 +59,12 @@ POISSON_NBAR_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int
 
 @dataclass(frozen=True, eq=False)
 class RunTable:
-    """Read-only run columns indexed by trial, checked once against the RunRecord invariants."""
+    """Monte-Carlo runs as columns indexed by trial: photon total, D1 and D2 counts, mirror momentum."""
 
     totals: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     momentum: np.ndarray
-
-    def __post_init__(self) -> None:
-        bad = np.flatnonzero((np.minimum(self.d1, self.d2) < 0) | (self.d1 + self.d2 != self.totals))
-        if bad.size:
-            n, a, b = self.totals[bad[0]], self.d1[bad[0]], self.d2[bad[0]]
-            raise ConstraintViolationError(f"run {bad[0]}: counts {a} + {b} must be >= 0 and sum to {n}")
-        for col in self.columns:
-            col.flags.writeable = False
-
-    @classmethod
-    def from_records(cls, records: RunTable | Sequence[RunRecord]) -> RunTable:
-        if isinstance(records, cls):
-            return records
-        return cls(*(np.array([getattr(r, f.name) for r in records]) for f in fields(RunRecord)))
-
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return self.totals, self.d1, self.d2, self.momentum
 
     def __len__(self) -> int:
         return len(self.totals)
@@ -140,9 +103,8 @@ def binary_scaled(column) -> tuple[np.ndarray, int]:
     return np.ldexp(column, -e), e
 
 
-def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
-                         conditional_on_total: bool = False) -> float:
-    """Pearson correlation between the D1 count and the mirror momentum.
+def fluctuation_analysis(d1, momentum, totals=None) -> float:
+    """Pearson correlation between the runs' D1 counts and their mirror momenta.
 
     Because the momentum rides on D2 photons alone and the per-photon kick is
     inward (negative) for r > t, runs with more D1 photons at fixed total have
@@ -150,22 +112,25 @@ def fluctuation_analysis(records: RunTable | Sequence[RunRecord],
     sub-ensemble the correlation is exactly +1. With Poissonian totals the two
     counts are independent, so the unconditional correlation vanishes.
 
-    conditional_on_total pools the correlation within groups of equal total
-    photon number (the fixed-total reading). A nan or inf momentum raises ConstraintViolationError.
+    Passing the runs' photon totals pools the correlation within groups of equal total (the
+    fixed-total reading). Unequal column lengths or a nan or inf momentum raise ConstraintViolationError.
     """
-    if len(records) < 30:
-        raise DegenerateSampleError(f"need at least 30 records, got {len(records)}")
-    table = RunTable.from_records(records)
-    n1, _ = binary_scaled(table.d1)
-    mom, _ = binary_scaled(table.momentum)
+    if len({len(d1), len(momentum), len(momentum if totals is None else totals)}) > 1:
+        raise ConstraintViolationError("the run columns d1, momentum and totals differ in length")
+    if len(d1) < 30:
+        raise DegenerateSampleError(f"need at least 30 records, got {len(d1)}")
+    n1, _ = binary_scaled(d1)
+    mom, _ = binary_scaled(momentum)
     bounds = []  # one group: the plain Pearson correlation
-    if conditional_on_total:
+    if totals is not None:
         # A stable sort makes each total's runs one slice in trial order: the
         # same values, summed in the same order, that a per-total mask selects.
-        # Totals are >= 0, so they narrow to the smallest unsigned type that
-        # holds them (uint16 at nbar 1e4, which numpy sorts by radix); a stable
-        # sort's permutation is unique, so narrowing does not change it.
-        totals = table.totals.astype(np.min_scalar_type(table.totals.max()))
+        # Non-negative integer totals sort in the smallest unsigned type that holds
+        # them (uint16 at nbar 1e4, which numpy sorts by radix); a stable sort's
+        # permutation is unique, so narrowing does not change it. Others sort as given.
+        totals = np.asarray(totals)
+        if totals.dtype.kind in "iu" and totals.min() >= 0:
+            totals = totals.astype(np.min_scalar_type(totals.max()))
         order = np.argsort(totals, kind="stable")
         bounds = np.flatnonzero(np.diff(totals[order])) + 1
         n1, mom = n1[order], mom[order]

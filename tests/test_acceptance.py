@@ -222,12 +222,9 @@ def test_criterion_10_fluctuation_intuition():
     # fixed-total conditional sub-sample: only the channel split fluctuates
     rng = np.random.Generator(np.random.Philox(21))
     n1 = rng.binomial(10_000, 4.0 * setup.bs.r**2 * setup.bs.t**2, size=500)
-    from mzkick.ensemble import RunRecord
-
-    fixed = [RunRecord(10_000, int(a), int(10_000 - a), float((10_000 - a) * kick)) for a in n1]
-    corr_fixed = fluctuation_analysis(fixed)
+    corr_fixed = fluctuation_analysis(n1, (10_000 - n1) * kick)
     records = sample_runs(setup, 1000, seed=13)
-    corr_uncond = fluctuation_analysis(records)
+    corr_uncond = fluctuation_analysis(records.d1, records.momentum)
     ok = abs(corr_fixed - 1.0) < 1e-12 and corr_uncond > 0.5
     report(
         10,

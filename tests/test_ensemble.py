@@ -8,7 +8,6 @@ import pytest
 from mzkick.cli import main
 from mzkick.ensemble import (
     POISSON_NBAR_MAX,
-    RunRecord,
     RunTable,
     expected_kick_report,
     fluctuation_analysis,
@@ -27,31 +26,25 @@ def make_setup(r_squared=0.75, nbar=100.0, alpha=ALPHA_60, omega=1.0):
     )
 
 
-def fixed_total_records(total: int, trials: int, seed: int, kick: float, p_d1: float):
+def fixed_total_records(total: int, trials: int, seed: int, kick: float, p_d1: float) -> RunTable:
     """Runs conditioned on an exact photon total: only the split fluctuates."""
     rng = np.random.Generator(np.random.Philox(seed))
     n1 = rng.binomial(total, p_d1, size=trials)
-    return [RunRecord(total, int(a), int(total - a), float((total - a) * kick)) for a in n1]
+    return RunTable(np.full(trials, total), n1, total - n1, (total - n1) * kick)
 
 
-def as_records(table: RunTable) -> list[RunRecord]:
-    """The table's rows as RunRecords, built from its columns."""
-    return [RunRecord(*row) for row in zip(*(col.tolist() for col in table.columns))]
+def pooled_or_not(table: RunTable, pooled: bool) -> float:
+    """fluctuation_analysis on a table's columns, pooled within totals or not."""
+    return fluctuation_analysis(table.d1, table.momentum, table.totals if pooled else None)
 
 
-def same_columns(a: RunTable, b: RunTable) -> bool:
-    """Whether two tables hold equal columns."""
-    return all(map(np.array_equal, a.columns, b.columns))
-
-
-def within_total_reference(records) -> float:
+def within_total_reference(d1, momentum, totals) -> float:
     """The pooled within-total correlation as a per-total boolean-mask loop.
 
     Each sum is an np.sum, as in fluctuation_analysis: a BLAS dot adds in another
     order, so it can differ in the last bit even when the groups are right."""
-    n1 = np.array([rec.d1_count for rec in records], dtype=float)
-    mom = np.array([rec.mirror_momentum for rec in records], dtype=float)
-    totals = np.array([rec.total_photons for rec in records])
+    n1 = np.asarray(d1, dtype=float)
+    mom = np.asarray(momentum, dtype=float)
     sxy = sxx = syy = 0.0
     for total in np.unique(totals):
         sel = totals == total
@@ -63,32 +56,7 @@ def within_total_reference(records) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-class TestRunRecord:
-    def test_count_consistency_enforced(self):
-        with pytest.raises(ConstraintViolationError):
-            RunRecord(10, 4, 5, 0.0)
-        with pytest.raises(ConstraintViolationError):
-            RunRecord(10, -1, 11, 0.0)
-
-
-class TestRunTable:
-    @staticmethod
-    def columns(totals, d1, d2):
-        return np.array(totals), np.array(d1), np.array(d2), np.zeros(len(totals))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ConstraintViolationError, match="run 1: counts -1 \\+ 11"):
-            RunTable(*self.columns([10, 10], [4, -1], [6, 11]))
-
-    def test_count_sum_enforced(self):
-        with pytest.raises(ConstraintViolationError, match="run 1"):
-            RunTable(*self.columns([10, 10, 10], [4, 4, 3], [6, 5, 7]))
-
-    def test_from_records_round_trip(self):
-        table = sample_runs(make_setup(nbar=1e3), 50, seed=3)
-        rebuilt = RunTable.from_records(as_records(table))
-        assert len(rebuilt) == len(table) == 50
-        assert same_columns(rebuilt, table)
+POOLED = pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
 
 
 class TestExpectedKickReport:
@@ -116,11 +84,13 @@ class TestExpectedKickReport:
 class TestSampleRuns:
     def test_deterministic_per_seed(self):
         setup = make_setup(nbar=1e3)
-        assert same_columns(sample_runs(setup, 200, seed=11), sample_runs(setup, 200, seed=11))
+        a, b = sample_runs(setup, 200, seed=11), sample_runs(setup, 200, seed=11)
+        assert all(map(np.array_equal, vars(a).values(), vars(b).values()))
 
     def test_different_seeds_differ(self):
         setup = make_setup(nbar=1e3)
-        assert not same_columns(sample_runs(setup, 200, seed=11), sample_runs(setup, 200, seed=12))
+        a, b = sample_runs(setup, 200, seed=11), sample_runs(setup, 200, seed=12)
+        assert not all(map(np.array_equal, vars(a).values(), vars(b).values()))
 
     def test_record_structure(self):
         setup = make_setup(nbar=1e3)
@@ -128,6 +98,18 @@ class TestSampleRuns:
         table = sample_runs(setup, 100, seed=3)
         assert np.array_equal(table.d1 + table.d2, table.totals)
         assert np.array_equal(table.momentum, table.d2 * kick)
+
+    def test_counts_are_non_negative(self):
+        # RunTable no longer checks its columns, so this guarantee rests on sample_runs
+        table = sample_runs(make_setup(r_squared=0.99, nbar=3.0), 2000, seed=4)
+        assert min(table.totals.min(), table.d1.min(), table.d2.min()) == 0
+        assert np.array_equal(table.d1 + table.d2, table.totals)
+
+    def test_len_is_the_number_of_runs(self):
+        # the ensemble record count is read as len(sample_runs(...)), not as a field count
+        table = sample_runs(make_setup(nbar=1e3), 37, seed=2)
+        assert len(table) == 37
+        assert all(len(column) == 37 for column in vars(table).values())
 
     def test_poisson_mean(self):
         setup = make_setup(nbar=1e4)
@@ -161,16 +143,11 @@ class TestSampleRuns:
 
 
 class TestFluctuationAnalysis:
-    @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_table_and_record_list_agree_exactly(self, mode):
-        table = sample_runs(make_setup(nbar=1e4), 2000, seed=17)
-        assert fluctuation_analysis(table, **mode) == fluctuation_analysis(as_records(table), **mode)
-
     def test_grouped_pooling_matches_mask_loop_exactly(self):
         table = sample_runs(make_setup(nbar=1e4), 5000, seed=23)
         assert len(np.unique(table.totals)) >= 100
-        corr = fluctuation_analysis(table, conditional_on_total=True)
-        assert corr == within_total_reference(as_records(table))
+        corr = fluctuation_analysis(table.d1, table.momentum, table.totals)
+        assert corr == within_total_reference(table.d1, table.momentum, table.totals)
 
     @pytest.mark.parametrize(
         "levels",
@@ -196,27 +173,49 @@ class TestFluctuationAnalysis:
         d1 = rng.binomial(totals, 0.75)
         d2 = totals - d1
         table = RunTable(totals, d1, d2, d2 * net_kick_d2(make_setup(nbar=1e4)))
-        corr = fluctuation_analysis(table, conditional_on_total=True)
-        assert corr == within_total_reference(as_records(table))
+        corr = fluctuation_analysis(table.d1, table.momentum, table.totals)
+        assert corr == within_total_reference(table.d1, table.momentum, table.totals)
+
+    @pytest.mark.parametrize("levels", [[2048.0, 2049.0], [-1, 255]], ids=["float", "negative-label"])
+    def test_totals_outside_the_narrowing_rule_group_exactly(self, levels):
+        # Only non-negative integer totals are narrowed before the sort. In float16
+        # 2048.0 and 2049.0 are one value, and in uint8 -1 is 255, so narrowing
+        # either column would merge its two groups, which give different values.
+        rng = np.random.Generator(np.random.Philox(5))
+        totals = rng.permutation(np.resize(np.array(levels), 60))
+        d1 = rng.binomial(100, 0.75, size=60)
+        momentum = (100 - d1) * net_kick_d2(make_setup(nbar=1e4)) + 20.0 * (totals == levels[1])
+        corr = fluctuation_analysis(d1, momentum, totals)
+        assert corr == within_total_reference(d1, momentum, totals)
+        assert abs(corr - within_total_reference(d1, momentum, np.zeros(60))) > 0.1
+
+    @pytest.mark.parametrize("pooled, longer", [(False, "momentum"), (True, "momentum"), (True, "totals")],
+                             ids=["unpooled", "pooled", "pooled-totals"])
+    def test_unequal_column_lengths_raise(self, pooled, longer):
+        table = sample_runs(make_setup(nbar=1e4), 100, seed=9)
+        columns = {"d1": table.d1, "momentum": table.momentum, "totals": table.totals if pooled else None}
+        columns[longer] = np.append(columns[longer], columns[longer][:5])
+        with pytest.raises(ConstraintViolationError, match="differ in length"):
+            fluctuation_analysis(**columns)
 
     def test_fixed_total_correlation_is_plus_one(self):
         setup = make_setup(nbar=1e4)
         records = fixed_total_records(10_000, 500, seed=2, kick=net_kick_d2(setup), p_d1=0.75)
-        assert abs(fluctuation_analysis(records) - 1.0) < 1e-12
+        assert abs(fluctuation_analysis(records.d1, records.momentum) - 1.0) < 1e-12
 
     def test_unconditional_correlation_vanishes(self):
         # Poisson thinning makes the two channel counts independent, so more
         # D1 photons by Poisson excess say nothing about the momentum.
         records = sample_runs(make_setup(nbar=1e4), 1000, seed=9)
-        assert abs(fluctuation_analysis(records)) < 0.15
+        assert abs(fluctuation_analysis(records.d1, records.momentum)) < 0.15
 
     def test_within_total_pooling_recovers_plus_one(self):
         records = sample_runs(make_setup(nbar=1e4), 1000, seed=9)
-        corr = fluctuation_analysis(records, conditional_on_total=True)
+        corr = fluctuation_analysis(records.d1, records.momentum, records.totals)
         assert abs(corr - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_large_kicks_keep_the_value(self, mode):
+    @POOLED
+    def test_large_kicks_keep_the_value(self, pooled):
         # Pearson's r is scale-invariant, and the columns are scaled by a power of
         # two before any square is summed, so a power-of-two kick keeps every bit.
         table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
@@ -224,14 +223,14 @@ class TestFluctuationAnalysis:
         def with_kick(kick):
             return RunTable(table.totals, table.d1, table.d2, table.d2 * kick)
 
-        reference = fluctuation_analysis(with_kick(-1.0), **mode)
+        reference = pooled_or_not(with_kick(-1.0), pooled)
         for k in (500, 1000):
-            assert fluctuation_analysis(with_kick(-2.0**k), **mode) == reference
+            assert pooled_or_not(with_kick(-2.0**k), pooled) == reference
         for kick in (-1e140, -1e152, -1e306):
-            assert fluctuation_analysis(with_kick(kick), **mode) == pytest.approx(reference, rel=1e-12)
+            assert pooled_or_not(with_kick(kick), pooled) == pytest.approx(reference, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_tiny_kicks_keep_the_value(self, mode):
+    @POOLED
+    def test_tiny_kicks_keep_the_value(self, pooled):
         # Squared momenta below the normal float range would lose precision or
         # vanish; in the power-of-two scale no square leaves it.
         table = sample_runs(make_setup(nbar=100.0), 1000, seed=9)
@@ -239,11 +238,11 @@ class TestFluctuationAnalysis:
         def with_kick(kick):
             return RunTable(table.totals, table.d1, table.d2, table.d2 * kick)
 
-        reference = fluctuation_analysis(with_kick(-1.0), **mode)
+        reference = pooled_or_not(with_kick(-1.0), pooled)
         for k in (-500, -1000):
-            assert fluctuation_analysis(with_kick(-2.0**k), **mode) == reference
+            assert pooled_or_not(with_kick(-2.0**k), pooled) == reference
         for kick in (-1e-150, -1e-160, -1e-300):
-            assert fluctuation_analysis(with_kick(kick), **mode) == pytest.approx(reference, rel=1e-12)
+            assert pooled_or_not(with_kick(kick), pooled) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan])
     def test_non_finite_momentum_raises(self, bad):
@@ -251,28 +250,27 @@ class TestFluctuationAnalysis:
         momentum = table.momentum.copy()
         momentum[3] = bad
         with pytest.raises(ConstraintViolationError, match=f"holds {abs(bad)}"):
-            fluctuation_analysis(RunTable(table.totals, table.d1, table.d2, momentum))
+            fluctuation_analysis(table.d1, momentum)
 
-    @pytest.mark.parametrize("mode", [{}, {"conditional_on_total": True}])
-    def test_huge_counts_give_a_finite_correlation(self, mode):
+    @POOLED
+    def test_huge_counts_give_a_finite_correlation(self, pooled):
         # Counts near 1e200 square far beyond the float range unless scaled first.
         table = sample_runs(make_setup(nbar=100.0), 100, seed=4)
         scale = 2**664  # about 1.2e200, an exact int
-        records = [RunRecord(int(n) * scale, int(a) * scale, int(b) * scale, float(m) * 2.0**664)
-                   for n, a, b, m in zip(*table.columns)]
-        corr = fluctuation_analysis(records, **mode)
+        totals, d1, d2 = (np.array([n * scale for n in col.tolist()], dtype=object)
+                          for col in (table.totals, table.d1, table.d2))
+        corr = pooled_or_not(RunTable(totals, d1, d2, table.momentum * 2.0**664), pooled)
         assert math.isfinite(corr)
-        assert corr == fluctuation_analysis(table, **mode)
+        assert corr == pooled_or_not(table, pooled)
 
     def test_requires_thirty_records(self):
         records = sample_runs(make_setup(nbar=1e4), 10, seed=1)
         with pytest.raises(DegenerateSampleError):
-            fluctuation_analysis(records)
+            fluctuation_analysis(records.d1, records.momentum)
 
     def test_zero_variance_raises(self):
-        records = [RunRecord(100, 60, 40, -20.0)] * 40
         with pytest.raises(DegenerateSampleError):
-            fluctuation_analysis(records)
+            fluctuation_analysis(np.full(40, 60), np.full(40, -20.0))
 
 
 class TestRecordsCsv:
