@@ -19,13 +19,12 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .ensemble import POISSON_NBAR_MAX, binary_scaled, expected_kick_report, fluctuation_analysis, sample_runs
-from .errors import ConfigError, ConstraintViolationError, DegenerateSampleError, MzkickError
+from .errors import ConfigError, ConstraintViolationError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
 from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_grid, gaussian_pointer, overlap
 from .weak_measurement import (
@@ -110,15 +109,11 @@ class ScenarioConfig:
         if problems:
             raise ConfigError("\n".join(problems))
 
-    @property
-    def alpha(self) -> float:
-        return math.radians(self.alpha_degrees)
-
     def to_setup(self) -> OpticalSetup:
         setup = OpticalSetup(
             bs=BeamsplitterSpec.from_r_squared(self.r_squared),
             omega=self.omega,
-            alpha=self.alpha,
+            alpha=math.radians(self.alpha_degrees),
             nbar=self.nbar,
         )
         if not math.isfinite(setup.delta_kick):
@@ -220,21 +215,17 @@ def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]
 
     Builds the states and one Gaussian pointer on a grid sized for the largest
     |kick|. The weak values come before any grid work, so a forbidden channel
-    raises first; the returned iterator couples and post-selects as it is read,
-    and drops each conditional pointer before building the next.
+    raises first; the returned iterator couples and post-selects as it is read.
     """
     psi = intra_state(setup.bs)
     phis = [detector_state(setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
     pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
-    stats = attrgetter("probability", "mean_kick")
-    return weak, pointer, (
-        (joint.arm_b, *(stats(postselect(joint, phi)) for phi in phis)) for joint in joints
-    )
+    return weak, pointer, ((joint.arm_b, *(postselect(joint, phi) for phi in phis)) for joint in joints)
 
 
-def run_single_photon(cfg: ScenarioConfig) -> dict:
+def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Weak values, exact conditional kicks, and net per-channel kicks."""
     setup = cfg.to_setup()
     kick1 = net_kick_d1(setup)
@@ -254,7 +245,7 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
             (CHANNEL_D1, d1, wv1, kick1), (CHANNEL_D2, d2, wv2, kick2)
         )
     ]
-    return {
+    report = {
         **_report_head(cfg, setup),
         "channels": channels,
         "weak_value_d1": wv1.real,
@@ -262,9 +253,10 @@ def run_single_photon(cfg: ScenarioConfig) -> dict:
         "net_kick_d1": kick1,
         "net_kick_d2": kick2,
     }
+    return report, {}, "single_photon.json"
 
 
-def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
+def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """A summary against the expected totals, and the Monte-Carlo run records as columns."""
     if not 0.0 < cfg.nbar <= POISSON_NBAR_MAX:
         raise ConfigError(f"nbar: must lie in (0, {POISSON_NBAR_MAX!r}] to sample (got {cfg.nbar})")
@@ -284,12 +276,6 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
         raise ConfigError(f"omega: the sample mean and standard error must be zero or normal floats "
                           f"(got {sample_mean}, {standard_error} at omega {cfg.omega})")
 
-    def _corr(*columns):
-        try:
-            return fluctuation_analysis(*columns)
-        except DegenerateSampleError:
-            return None
-
     summary = {
         **_report_head(cfg, setup),
         "sample_mean": sample_mean,
@@ -298,27 +284,28 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict[str, np.ndarray]]:
         "classical_reference": report.classical_reference,
         "d1_total_expected": report.d1_total,
         "d2_total_expected": report.d2_total,
-        "correlation_unconditional": _corr(records.d1, records.momentum),
-        "correlation_within_total": _corr(records.d1, records.momentum, records.totals),
+        "correlation_unconditional": fluctuation_analysis(records.d1, records.momentum),
+        "correlation_within_total": fluctuation_analysis(records.d1, records.momentum, records.totals),
     }
-    return summary, {"trial": np.arange(cfg.trials), "N": records.totals, "n1": records.d1,
-                     "n2": records.d2, "momentum": records.momentum}
+    columns = {"trial": np.arange(cfg.trials), "N": records.totals, "n1": records.d1,
+               "n2": records.d2, "momentum": records.momentum}
+    return summary, {"ensemble_records": columns}, "ensemble_summary.json"
 
 
-def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float]) -> list[dict]:
+def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict, dict, str | None]:
     """Exact channel statistics as the per-photon kick sweeps through the spread.
 
     Each row evaluates one ratio delta/spread: mirror visibility, exact channel
     probabilities, the exact D2 conditional kick, and the weak-value prediction
-    it departs from once the coupling decoheres the photon.
+    it departs from once the coupling decoheres the photon. The rows are the
+    report and, as columns, the one table.
     """
-    if not delta_over_spread_list or not all(map(math.isfinite, delta_over_spread_list)):
-        raise ConfigError("ratios: need at least one delta/spread ratio, all finite "
-                          f"(got {delta_over_spread_list})")
+    if not ratios or not all(map(math.isfinite, ratios)):
+        raise ConfigError(f"ratios: need at least one delta/spread ratio, all finite (got {ratios})")
     setup = cfg.to_setup()
-    kicks = [ratio * cfg.delta_spread for ratio in delta_over_spread_list]
+    kicks = [ratio * cfg.delta_spread for ratio in ratios]
     (_, wv2), pointer, results = _exact_channels(cfg, setup, kicks)
-    return [
+    rows = [
         {
             "delta_over_spread": ratio,
             "visibility": abs(overlap(pointer, arm_b)),
@@ -328,16 +315,18 @@ def run_decoherence_scan(cfg: ScenarioConfig, delta_over_spread_list: list[float
             "d2_weak_kick": wv2.real * delta,
         }
         for ratio, delta, (arm_b, (p_d1, _), (p_d2, d2_mean_kick))
-        in zip(delta_over_spread_list, kicks, results)
+        in zip(ratios, kicks, results)
     ]
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return {"schema_version": SCHEMA_VERSION, "rows": rows}, {"decoherence_scan": columns}, None
 
 
-def run_compare_classical(cfg: ScenarioConfig) -> dict:
+def run_compare_classical(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Side-by-side quantum ensemble total and classical wave-optics momentum."""
     setup = cfg.to_setup()
     report = _expected_totals(setup)
     classical = report.classical_reference  # zero only when nbar = 0
-    return {
+    comparison = {
         **_report_head(cfg, setup),
         "quantum_total": report.grand_total,
         "quantum_d1_total": report.d1_total,
@@ -345,23 +334,37 @@ def run_compare_classical(cfg: ScenarioConfig) -> dict:
         "classical_total": classical,
         "ratio": report.grand_total / classical if classical != 0.0 else None,
     }
+    return comparison, {}, "compare_classical.json"
+
+
+# Subcommand name -> (help text, runner), in the order --help lists them. Every
+# runner returns its report, its {file stem: {name: column}} tables, and the name
+# of the file that holds the report, or None where none does. The runners are the
+# ones defined here, so every library call goes through its import site in this module.
+COMMANDS = {
+    "single-photon": ("weak values, channel probabilities, and per-channel kicks", run_single_photon),
+    "ensemble": ("Monte-Carlo photon counting against the expected totals", run_ensemble),
+    "decoherence": ("channel statistics versus the kick-to-spread ratio", run_decoherence_scan),
+    "compare-classical": ("quantum ensemble total versus the classical wave-optics momentum",
+                          run_compare_classical),
+}
 
 
 @contextlib.contextmanager
 def _output_set(out_dir: Path):
     """Yield a fresh staging directory inside out_dir to write this run's data files
-    to; then move them into out_dir with os.replace. Each file a move replaces is
-    first hard-linked into the staging directory, or copied where out_dir's
-    filesystem has no hard links, so if any move fails, the moved names get their
-    earlier file back or are removed: out_dir gains all of the set or is left as it
-    was. The staging directory is removed in every case."""
+    to; then move them into out_dir with os.replace. Each file or symlink (the link
+    itself, dangling or not) a move replaces is first hard-linked into the staging
+    directory, or copied where out_dir's filesystem has no hard links, so if any move
+    fails, the moved names get their earlier entry back or are removed: out_dir gains
+    all of the set or is left as it was. The staging directory is removed in every case."""
     staging = Path(tempfile.mkdtemp(prefix=".mzkick-", dir=out_dir))
     moved = []
     try:
         yield staging
         names = sorted(path.name for path in staging.iterdir())
         for name in names:
-            if (out_dir / name).is_file():
+            if (out_dir / name).is_symlink() or (out_dir / name).is_file():
                 try:
                     os.link(out_dir / name, staging / f"{name}~", follow_symlinks=False)
                 except OSError:  # a filesystem without hard links
@@ -455,60 +458,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "whose mirror is struck from both sides",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "single-photon", parents=[common],
-        help="weak values, channel probabilities, and per-channel kicks",
-    )
-    sub.add_parser(
-        "ensemble", parents=[common],
-        help="Monte-Carlo photon counting against the expected totals",
-    )
-    deco = sub.add_parser(
-        "decoherence", parents=[common],
-        help="channel statistics versus the kick-to-spread ratio",
-    )
-    deco.add_argument(
-        "--ratios", type=float, nargs="+", default=list(DEFAULT_SCAN_RATIOS),
-        help="delta/spread ratios to scan",
-    )
-    sub.add_parser(
-        "compare-classical", parents=[common],
-        help="quantum ensemble total versus the classical wave-optics momentum",
-    )
-    # argparse reads "-1e-3" as an option unless its private negative-number
-    # pattern, set per parser, matches; widened to take exponent forms.
-    for command in sub.choices.values():
+    for name, (help_text, _) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        # argparse reads "-1e-3" as an option unless its private negative-number
+        # pattern, set per parser, matches; widened to take exponent forms.
         command._negative_number_matcher = NEGATIVE_NUMBER
+        if name == "decoherence":
+            command.add_argument(
+                "--ratios", type=float, nargs="+", default=list(DEFAULT_SCAN_RATIOS),
+                help="delta/spread ratios to scan",
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    out_dir: Path = args.out
+    # What is left after the shared flags are taken out are the subcommand's own
+    # options, which its runner takes as keywords.
+    options = vars(_build_parser().parse_args(argv))
+    command, config, out_dir, fmt = (options.pop(key) for key in ("command", "config", "out", "fmt"))
     try:
-        cfg = load_config(args.config, {name: getattr(args, name) for name in FIELD_TYPES})
+        cfg = load_config(config, {name: options.pop(name) for name in FIELD_TYPES})
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out: cannot create directory {out_dir} ({exc})") from exc
-        # Each subcommand gives its report, its {file stem: {name: column}} tables,
-        # and the name of the file that holds the report, if one does.
-        if args.command == "ensemble":
-            report, columns = run_ensemble(cfg)
-            tables, document = {"ensemble_records": columns}, "ensemble_summary.json"
-        elif args.command == "decoherence":
-            rows = run_decoherence_scan(cfg, list(args.ratios))
-            report = {"schema_version": SCHEMA_VERSION, "rows": rows}
-            columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
-            tables, document = {"decoherence_scan": columns}, None
-        elif args.command == "single-photon":
-            report, tables, document = run_single_photon(cfg), {}, "single_photon.json"
-        else:
-            report, tables, document = run_compare_classical(cfg), {}, "compare_classical.json"
+        report, tables, document = COMMANDS[command][1](cfg, **options)
         text = json.dumps(report, indent=2, allow_nan=False)
         with _output_set(out_dir) as staging:
             for stem, table in tables.items():
-                _write_table(staging / stem, args.fmt, table)
+                _write_table(staging / stem, fmt, table)
             if document:
                 (staging / document).write_text(text + "\n")
         print(text)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_optics import classical_mirror_momentum
-from .errors import ConstraintViolationError, DegenerateSampleError
+from .errors import ConstraintViolationError
 from .weak_measurement import OpticalSetup, net_kick_d2
 
 
@@ -103,7 +103,7 @@ def binary_scaled(column) -> tuple[np.ndarray, int]:
     return np.ldexp(column, -e), e
 
 
-def fluctuation_analysis(d1, momentum, totals=None) -> float:
+def fluctuation_analysis(d1, momentum, totals=None) -> float | None:
     """Pearson correlation between the runs' D1 counts and their mirror momenta.
 
     Because the momentum rides on D2 photons alone and the per-photon kick is
@@ -113,12 +113,14 @@ def fluctuation_analysis(d1, momentum, totals=None) -> float:
     counts are independent, so the unconditional correlation vanishes.
 
     Passing the runs' photon totals pools the correlation within groups of equal total (the
-    fixed-total reading). Unequal column lengths or a nan or inf momentum raise ConstraintViolationError.
+    fixed-total reading). The correlation is undefined, and None is returned, for fewer than
+    30 runs or a sample with no variance (within totals, if pooled). Unequal column lengths or
+    a nan or inf momentum raise ConstraintViolationError.
     """
     if len({len(d1), len(momentum), len(momentum if totals is None else totals)}) > 1:
         raise ConstraintViolationError("the run columns d1, momentum and totals differ in length")
     if len(d1) < 30:
-        raise DegenerateSampleError(f"need at least 30 records, got {len(d1)}")
+        return None
     n1, _ = binary_scaled(d1)
     mom, _ = binary_scaled(momentum)
     bounds = []  # one group: the plain Pearson correlation
@@ -143,6 +145,5 @@ def fluctuation_analysis(d1, momentum, totals=None) -> float:
         sxx += float(np.sum(dx * dx))
         syy += float(np.sum(dy * dy))
     if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateSampleError("sample has no variance (within totals, if pooled); "
-                                    "correlation undefined")
+        return None
     return sxy / math.sqrt(sxx * syy)

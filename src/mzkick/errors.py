@@ -21,9 +21,5 @@ class ZeroOverlapError(MzkickError):
     """Post-selection onto an outcome with numerically zero probability."""
 
 
-class DegenerateSampleError(MzkickError):
-    """A statistic was requested on a sample without the required variance."""
-
-
 class ConfigError(MzkickError):
     """Scenario configuration failed validation."""

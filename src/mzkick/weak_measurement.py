@@ -78,12 +78,10 @@ class JointState(NamedTuple):
     arm_b: PointerState
 
 
-@dataclass(frozen=True)
-class PostselectionResult:
+class PostselectionResult(NamedTuple):
     """Outcome of projecting the joint state onto one detector channel."""
 
     probability: float
-    conditional_pointer: PointerState
     mean_kick: float
 
 
@@ -124,9 +122,10 @@ def weak_value_PB(psi: ModeAmplitudes, phi_post: ModeAmplitudes) -> complex:
 def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResult:
     """Project the joint state onto a photon channel; exact at any coupling.
 
-    Returns the channel probability, the normalized conditional mirror state,
-    and its mean momentum. The probability reading assumes the joint state is
-    normalized (couple_with_kick guarantees this; first_order_joint does not).
+    Returns the channel probability and the mean momentum of the normalized
+    conditional mirror state, which is validated as a PointerState and then
+    dropped. The probability reading assumes the joint state is normalized
+    (couple_with_kick guarantees this; first_order_joint does not).
     """
     grid = joint.arm_a.grid
     ca, cb = phi_post.a.conjugate(), phi_post.b.conjugate()
@@ -144,12 +143,7 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
         )
     cond /= math.sqrt(probability)
     cond.flags.writeable = False
-    conditional = PointerState(grid, cond)
-    return PostselectionResult(
-        probability=probability,
-        conditional_pointer=conditional,
-        mean_kick=mean_momentum(conditional),
-    )
+    return PostselectionResult(probability, mean_momentum(PointerState(grid, cond)))
 
 
 def net_kick_d1(setup: OpticalSetup) -> float:

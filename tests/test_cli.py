@@ -196,7 +196,7 @@ class TestSinglePhoton:
 
     def test_multi_block_grid_meets_the_closed_forms(self):
         # 2**17 + 1 points: three blocks per grid pass, two per integral.
-        report = run_single_photon(ScenarioConfig(grid_points=2**17 + 1))
+        report, _, _ = run_single_photon(ScenarioConfig(grid_points=2**17 + 1))
         config = report["config"]
         kick, p_d1, d2_kick = gaussian_channel_closed_forms(config)
         d1, d2 = report["channels"]
@@ -209,7 +209,8 @@ class TestSinglePhoton:
     def test_peak_memory_writing_an_ensemble_table(self, tmp_path, fmt):
         # Tables are spelled a block of rows at a time, so writing one holds a
         # block's text, not the whole file's (3x and 6x the file when it held it).
-        _, columns = run_ensemble(ScenarioConfig(nbar=1e4, trials=300_000))
+        _, tables, _ = run_ensemble(ScenarioConfig(nbar=1e4, trials=300_000))
+        columns = tables["ensemble_records"]
         tracemalloc.start()
         try:
             _write_table(tmp_path / "table", fmt, columns)
@@ -296,6 +297,18 @@ class TestEnsemble:
         assert abs(summary["correlation_within_total"] - 1.0) < 1e-12
         assert abs(summary["correlation_unconditional"]) < 0.2
 
+    def test_one_total_per_run_writes_a_null_pooled_correlation(self, tmp_path, capsys):
+        # At nbar 1e18 every run draws its own photon total, so no group of equal
+        # total has any variance: the pooled correlation is undefined, the plain one is not.
+        argv = ["ensemble", "--nbar", "1e18", "--trials", "31", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "ensemble_records.csv", newline="") as f:
+            assert len({row["N"] for row in csv.DictReader(f)}) == 31
+        summary = read_json(tmp_path / "ensemble_summary.json")
+        assert summary["correlation_within_total"] is None
+        assert isinstance(summary["correlation_unconditional"], float)
+        assert strict_loads(capsys.readouterr().out) == summary
+
 
 class TestDecoherence:
     def test_scan_rows(self, tmp_path, capsys):
@@ -317,7 +330,7 @@ class TestDecoherence:
 
     def test_rows_api_matches_oracle(self):
         cfg = ScenarioConfig()
-        rows = run_decoherence_scan(cfg, [0.5])
+        rows = run_decoherence_scan(cfg, [0.5])[0]["rows"]
         v = math.exp(-0.5**2 / 4.0)
         assert rows[0]["visibility"] == pytest.approx(v, abs=1e-8)
         assert rows[0]["p_d1"] == pytest.approx(2.0 * 0.75 * 0.25 * (1.0 + v), abs=1e-8)
@@ -327,7 +340,7 @@ class TestDecoherence:
         ifft = np.fft.ifft
         monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ifft_calls.append(1) or ifft(*a, **k))
         ratios = [0.0, 0.5, 1.0, -2.0, 5.0]
-        rows = run_decoherence_scan(ScenarioConfig(), ratios)
+        rows = run_decoherence_scan(ScenarioConfig(), ratios)[0]["rows"]
         assert [row["delta_over_spread"] for row in rows] == ratios
         assert len(ifft_calls) == 4  # one per nonzero ratio; a zero kick shifts nothing
 
@@ -443,6 +456,36 @@ class TestNegativeNumbers:
         assert main(["single-photon", flag, "-1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"{field}:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_ratios_belong_to_decoherence_alone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["single-photon", "--ratios", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ratios 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_the_subcommands_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        start = lines.index("{single-photon,ensemble,decoherence,compare-classical}")
+        assert lines[start + 1:start + 5] == [
+            "single-photon weak values, channel probabilities, and per-channel kicks",
+            "ensemble Monte-Carlo photon counting against the expected totals",
+            "decoherence channel statistics versus the kick-to-spread ratio",
+            "compare-classical quantum ensemble total versus the classical wave-optics momentum",
+        ]
+
+    @pytest.mark.parametrize("command", ["single-photon", "ensemble", "decoherence", "compare-classical"])
+    def test_subcommand_help_opens_with_its_usage_line(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: mzkick {command} ")
 
 
 class TestCompareClassical:
@@ -881,6 +924,23 @@ class TestOneOutputPath:
         with pytest.raises(KeyboardInterrupt):
             main([*argv, "--seed", "9"])
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("hard_links", [True, False], ids=["hard-links", "without-hard-links"])
+    @pytest.mark.parametrize("target", ["missing", "directory"], ids=["dangling", "to-a-directory"])
+    def test_failed_set_puts_an_earlier_symlink_back(self, tmp_path, capsys, monkeypatch, target, hard_links):
+        if not hard_links:
+            monkeypatch.setattr(os, "link", link_refused)
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "directory").mkdir()
+        (out / "ensemble_records.csv").symlink_to(tmp_path / target)
+        (out / "ensemble_summary.json").mkdir()  # the move after the records' fails
+        assert main(["ensemble", "--trials", "40", "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("error: cannot write output")
+        # The symlink itself is back, pointing where it did, and nothing else is left.
+        assert os.readlink(out / "ensemble_records.csv") == str(tmp_path / target)
+        assert sorted(path.name for path in out.iterdir()) == [
+            "ensemble_records.csv", "ensemble_summary.json"]
 
     def test_rerun_without_hard_links_overwrites(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "link", link_refused)
