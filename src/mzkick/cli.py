@@ -19,6 +19,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,8 @@ def _is_normal(x: float) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One reproducible experiment scenario; t^2 is always derived as 1 - r^2."""
+    """One reproducible experiment scenario; t^2 is always derived as 1 - r^2. Building
+    one checks it, raising one ConfigError that names every field at fault."""
 
     r_squared: float = 0.75
     omega: float = 1.0
@@ -74,20 +76,21 @@ class ScenarioConfig:
     seed: int = 7
     trials: int = 1000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = [
             f"{name}: must be finite (got {getattr(self, name)})"
             for name, kind in FIELD_TYPES.items()
             if kind is float and not math.isfinite(getattr(self, name))
         ]
-        if not 0.0 < self.r_squared < 1.0:
-            problems.append(f"r_squared: must lie strictly between 0 and 1 (got {self.r_squared})")
+        try:
+            BeamsplitterSpec(self.r_squared)
+        except ConstraintViolationError as exc:
+            problems.append(str(exc))
         if self.omega <= 0.0:
             problems.append(f"omega: must be positive (got {self.omega})")
-        if not 0.0 < self.alpha_degrees < 90.0:
-            problems.append(
-                f"alpha_degrees: must lie strictly between 0 and 90 (got {self.alpha_degrees})"
-            )
+        if not 0.0 < math.radians(self.alpha_degrees) < math.pi / 2.0:  # OpticalSetup's rule on alpha
+            problems.append(f"alpha_degrees: must lie strictly between 0 and 90, and in radians strictly "
+                            f"between 0 and pi/2 (got {self.alpha_degrees})")
         if self.nbar < 0.0:
             problems.append(f"nbar: must be non-negative (got {self.nbar})")
         if self.delta_spread <= 0.0:
@@ -108,17 +111,18 @@ class ScenarioConfig:
             problems.append(f"trials: must be at most {ARRAY_LENGTH_MAX} (got {self.trials})")
         if problems:
             raise ConfigError("\n".join(problems))
+        if not math.isfinite(self.setup.delta_kick):
+            raise ConfigError(f"omega: the kick 2*omega*cos(alpha) overflows (got {self.omega})")
 
-    def to_setup(self) -> OpticalSetup:
-        setup = OpticalSetup(
-            bs=BeamsplitterSpec.from_r_squared(self.r_squared),
+    @cached_property
+    def setup(self) -> OpticalSetup:
+        """The optical setup this config was checked with (not a field, so asdict omits it)."""
+        return OpticalSetup(
+            bs=BeamsplitterSpec(self.r_squared),
             omega=self.omega,
             alpha=math.radians(self.alpha_degrees),
             nbar=self.nbar,
         )
-        if not math.isfinite(setup.delta_kick):
-            raise ConfigError(f"omega: the kick 2*omega*cos(alpha) overflows (got {self.omega})")
-        return setup
 
     def build_grid(self, max_shift: float) -> MomentumGrid:
         if self.grid_halfwidth > 0.0:
@@ -176,13 +180,12 @@ def load_config(path: str | Path | None, overrides: dict) -> ScenarioConfig:
             values[key] = kind(value)
         except OverflowError:  # an int beyond the float range
             raise ConfigError(f"{key}: must be finite (got {value!r})") from None
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(**values)
 
 
-def _report_head(cfg: ScenarioConfig, setup: OpticalSetup) -> dict:
+def _report_head(cfg: ScenarioConfig) -> dict:
     """The schema_version, config and setup keys that open every JSON report."""
+    setup = cfg.setup
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -209,7 +212,7 @@ def _expected_totals(setup: OpticalSetup):
     return report
 
 
-def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]):
+def _exact_channels(cfg: ScenarioConfig, kicks: list[float]):
     """Both weak values, the pointer, then each kick's arm_b pointer and the
     (probability, mean_kick) of D1 and of D2.
 
@@ -217,8 +220,8 @@ def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]
     |kick|. The weak values come before any grid work, so a forbidden channel
     raises first; the returned iterator couples and post-selects as it is read.
     """
-    psi = intra_state(setup.bs)
-    phis = [detector_state(setup.bs, channel) for channel in CHANNELS]
+    psi = intra_state(cfg.setup.bs)
+    phis = [detector_state(cfg.setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
     pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
@@ -227,10 +230,9 @@ def _exact_channels(cfg: ScenarioConfig, setup: OpticalSetup, kicks: list[float]
 
 def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Weak values, exact conditional kicks, and net per-channel kicks."""
-    setup = cfg.to_setup()
-    kick1 = net_kick_d1(setup)
-    kick2 = net_kick_d2(setup)  # raises ZeroOverlapError naming D2 at r = t
-    (wv1, wv2), _, [(_, d1, d2)] = _exact_channels(cfg, setup, [setup.delta_kick])
+    kick1 = net_kick_d1(cfg.setup)
+    kick2 = net_kick_d2(cfg.setup)  # raises ZeroOverlapError naming D2 at r = t
+    (wv1, wv2), _, [(_, d1, d2)] = _exact_channels(cfg, [cfg.setup.delta_kick])
 
     channels = [
         {
@@ -246,7 +248,7 @@ def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
         )
     ]
     report = {
-        **_report_head(cfg, setup),
+        **_report_head(cfg),
         "channels": channels,
         "weak_value_d1": wv1.real,
         "weak_value_d2": wv2.real,
@@ -260,10 +262,9 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """A summary against the expected totals, and the Monte-Carlo run records as columns."""
     if not 0.0 < cfg.nbar <= POISSON_NBAR_MAX:
         raise ConfigError(f"nbar: must lie in (0, {POISSON_NBAR_MAX!r}] to sample (got {cfg.nbar})")
-    setup = cfg.to_setup()
-    report = _expected_totals(setup)
+    report = _expected_totals(cfg.setup)
     with np.errstate(over="ignore"):  # an overflowing momentum is inf, refused below
-        records = sample_runs(setup, cfg.trials, cfg.seed)
+        records = sample_runs(cfg.setup, cfg.trials, cfg.seed)
     try:
         momenta, e = binary_scaled(records.momentum)
     except ConstraintViolationError:
@@ -277,7 +278,7 @@ def run_ensemble(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
                           f"(got {sample_mean}, {standard_error} at omega {cfg.omega})")
 
     summary = {
-        **_report_head(cfg, setup),
+        **_report_head(cfg),
         "sample_mean": sample_mean,
         "standard_error": standard_error,
         "expected": report.grand_total,
@@ -302,9 +303,8 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
     """
     if not ratios or not all(map(math.isfinite, ratios)):
         raise ConfigError(f"ratios: need at least one delta/spread ratio, all finite (got {ratios})")
-    setup = cfg.to_setup()
     kicks = [ratio * cfg.delta_spread for ratio in ratios]
-    (_, wv2), pointer, results = _exact_channels(cfg, setup, kicks)
+    (_, wv2), pointer, results = _exact_channels(cfg, kicks)
     rows = [
         {
             "delta_over_spread": ratio,
@@ -323,11 +323,10 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
 
 def run_compare_classical(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Side-by-side quantum ensemble total and classical wave-optics momentum."""
-    setup = cfg.to_setup()
-    report = _expected_totals(setup)
+    report = _expected_totals(cfg.setup)
     classical = report.classical_reference  # zero only when nbar = 0
     comparison = {
-        **_report_head(cfg, setup),
+        **_report_head(cfg),
         "quantum_total": report.grand_total,
         "quantum_d1_total": report.d1_total,
         "quantum_d2_total": report.d2_total,
@@ -478,12 +477,12 @@ def main(argv: list[str] | None = None) -> int:
     command, config, out_dir, fmt = (options.pop(key) for key in ("command", "config", "out", "fmt"))
     try:
         cfg = load_config(config, {name: options.pop(name) for name in FIELD_TYPES})
-        try:
+        report, tables, document = COMMANDS[command][1](cfg, **options)
+        text = json.dumps(report, indent=2, allow_nan=False)
+        try:  # only now, so a refused run leaves no directory behind
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"out: cannot create directory {out_dir} ({exc})") from exc
-        report, tables, document = COMMANDS[command][1](cfg, **options)
-        text = json.dumps(report, indent=2, allow_nan=False)
         with _output_set(out_dir) as staging:
             for stem, table in tables.items():
                 _write_table(staging / stem, fmt, table)

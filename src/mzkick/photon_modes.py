@@ -22,29 +22,25 @@ CHANNELS = (CHANNEL_D1, CHANNEL_D2)
 
 @dataclass(frozen=True)
 class BeamsplitterSpec:
-    """Lossless beamsplitter with real reflection/transmission amplitudes."""
+    """Lossless beamsplitter fixed by its reflection probability r^2: the amplitudes
+    r and t are derived from it, so r^2 + t^2 = 1 holds by construction."""
 
-    r: float
-    t: float
+    r_squared: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r < 1.0 and 0.0 < self.t < 1.0):
+        if not (0.0 < self.r_squared < 1.0 and self.t < 1.0):
             raise ConstraintViolationError(
-                f"beamsplitter amplitudes must lie strictly inside (0, 1): r={self.r}, t={self.t}"
-            )
-        if abs(self.r * self.r + self.t * self.t - 1.0) > IDENTITY_TOL:
-            raise ConstraintViolationError(
-                f"beamsplitter is not lossless: r^2 + t^2 = {self.r**2 + self.t**2!r}"
+                f"r_squared: must lie strictly between 0 and 1, with t = sqrt(1 - r_squared) "
+                f"below 1 (got {self.r_squared})"
             )
 
-    @classmethod
-    def from_r_squared(cls, r_squared: float) -> "BeamsplitterSpec":
-        """Build from the reflection probability r^2, with t^2 = 1 - r^2."""
-        if not 0.0 < r_squared < 1.0:
-            raise ConstraintViolationError(
-                f"r_squared must lie strictly inside (0, 1), got {r_squared}"
-            )
-        return cls(math.sqrt(r_squared), math.sqrt(1.0 - r_squared))
+    @property
+    def r(self) -> float:
+        return math.sqrt(self.r_squared)
+
+    @property
+    def t(self) -> float:
+        return math.sqrt(1.0 - self.r_squared)
 
 
 @dataclass(frozen=True)

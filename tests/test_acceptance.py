@@ -45,7 +45,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def make_setup(r_squared=0.75, omega=1.0, alpha_deg=60.0, nbar=0.0):
     return OpticalSetup(
-        bs=BeamsplitterSpec.from_r_squared(r_squared),
+        bs=BeamsplitterSpec(r_squared),
         omega=omega,
         alpha=math.radians(alpha_deg),
         nbar=nbar,
@@ -61,7 +61,7 @@ def d2_mean_kick_oracle(r_squared: float, delta: float, spread: float) -> float:
 def test_criterion_1_weak_value_d1():
     worst = 0.0
     for r_squared in R2_SWEEP:
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
+        bs = BeamsplitterSpec(r_squared)
         wv = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D1))
         worst = max(worst, abs(wv - (0.5 + 0.0j)))
     report(1, "weak value D1 = 1/2", worst < 1e-12, f"max |wv - 0.5| = {worst:.2e}, tol 1e-12")
@@ -70,11 +70,11 @@ def test_criterion_1_weak_value_d1():
 def test_criterion_2_weak_value_d2():
     worst = 0.0
     for r_squared in R2_SWEEP:
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
+        bs = BeamsplitterSpec(r_squared)
         wv = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D2))
         t2 = 1.0 - r_squared
         worst = max(worst, abs(wv - (-t2 / (r_squared - t2))))
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     at_075 = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D2))
     ok = worst < 1e-12 and abs(at_075 - (-0.5)) < 1e-12
     report(2, "weak value D2 = -t^2/(r^2-t^2)", ok, f"max dev = {worst:.2e}, tol 1e-12")
@@ -108,7 +108,7 @@ def test_criterion_4_classical_correspondence():
 
 def test_criterion_5_exact_vs_weak_convergence():
     t0 = time.perf_counter()
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     psi = intra_state(bs)
     phi2 = detector_state(bs, CHANNEL_D2)
     bounds = {1e-3: 1e-4, 1e-2: 1.5e-2, 1e-1: 1.5e-1}
@@ -135,7 +135,7 @@ def test_criterion_5_exact_vs_weak_convergence():
 
 
 def test_criterion_6_momentum_bookkeeping():
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     psi = intra_state(bs)
     phi1 = detector_state(bs, CHANNEL_D1)
     phi2 = detector_state(bs, CHANNEL_D2)
@@ -152,7 +152,7 @@ def test_criterion_6_momentum_bookkeeping():
 
 
 def test_criterion_7_probability_completeness():
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     psi = intra_state(bs)
     phi1 = detector_state(bs, CHANNEL_D1)
     phi2 = detector_state(bs, CHANNEL_D2)
@@ -168,7 +168,7 @@ def test_criterion_7_probability_completeness():
 
 
 def test_criterion_8_decoherence_curve():
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     psi = intra_state(bs)
     phi1 = detector_state(bs, CHANNEL_D1)
     ratios = np.linspace(0.0, 5.0, 21)
@@ -237,7 +237,7 @@ def test_criterion_10_fluctuation_intuition():
 
 
 def test_criterion_11_first_order_validity_window():
-    bs = BeamsplitterSpec.from_r_squared(0.75)
+    bs = BeamsplitterSpec(0.75)
     psi = intra_state(bs)
 
     def rel_err(ratio: float) -> float:

@@ -39,6 +39,7 @@ from mzkick.cli import (
     run_single_photon,
 )
 from mzkick.errors import ConfigError
+from mzkick.weak_measurement import OpticalSetup
 
 
 def strict_loads(text):
@@ -53,6 +54,13 @@ def strict_loads(text):
 def read_json(path):
     with open(path) as f:
         return strict_loads(f.read())
+
+
+# Subnormals, and the floats at and next to 0, 0.5, 1 and 90.
+FLOAT_EDGES = [5e-324, 1e-322, 1e-300, 5.5e-17, 2.0**-54, 2.0**-53, *(
+    x for edge in (0.0, 0.5, 1.0, 90.0)
+    for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+)]
 
 
 class TestConfigLoading:
@@ -82,9 +90,20 @@ class TestConfigLoading:
 
     def test_field_level_messages(self):
         with pytest.raises(ConfigError) as err:
-            load_config(None, {"r_squared": 1.5, "trials": 0}).validate()
+            load_config(None, {"r_squared": 1.5, "trials": 0})
         assert "r_squared" in str(err.value)
         assert "trials" in str(err.value)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.floats() | st.sampled_from(FLOAT_EDGES), st.floats() | st.sampled_from(FLOAT_EDGES))
+    def test_check_agrees_with_the_library(self, r_squared, alpha_degrees):
+        # Every r_squared and alpha_degrees is refused as a field, or builds the setup:
+        # no library ConstraintViolationError gets past the config check.
+        try:
+            cfg = load_config(None, {"r_squared": r_squared, "alpha_degrees": alpha_degrees})
+        except ConfigError:
+            return
+        assert isinstance(cfg.setup, OpticalSetup)
 
     @pytest.mark.parametrize(
         "content,field",
@@ -408,6 +427,20 @@ class TestFloatRange:
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"\n{field}:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    # Inside the open ranges, yet t = sqrt(1 - r_squared) rounds to 1, or the
+    # angle in radians rounds to 0.
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--r-squared", "5.5e-17"), ("--r-squared", "1e-300"), ("--r-squared", "5e-324"),
+         ("--alpha-degrees", "5e-324"), ("--alpha-degrees", "1e-322")],
+    )
+    def test_float_floor_exits_two_before_writing(self, tmp_path, capsys, command, flag, value):
+        assert main([command, flag, value, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.splitlines()[1].startswith(f"{field}:")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("omega", ["1e200", "1e150", "1e-160", "1e-300"],
@@ -863,6 +896,16 @@ class TestResourceFailures:
         for out in (tmp_path / "file", tmp_path / "file" / "sub"):
             assert main([command, "--trials", "50", "--out", str(out)]) == EXIT_CONFIG
             assert capsys.readouterr().err.splitlines()[1].startswith("out:")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["ensemble", "--nbar", "0"], EXIT_CONFIG),
+         (["single-photon", "--r-squared", "0.5"], EXIT_NUMERICAL)],
+        ids=["refused-config", "numerical-failure"],
+    )
+    def test_refused_run_creates_no_out(self, tmp_path, capsys, argv, code):
+        assert main([*argv, "--out", str(tmp_path / "new" / "deep")]) == code
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command,name,earlier,hard_links",

@@ -22,7 +22,7 @@ ALPHA_60 = math.radians(60.0)
 
 def make_setup(r_squared=0.75, nbar=100.0, alpha=ALPHA_60, omega=1.0):
     return OpticalSetup(
-        bs=BeamsplitterSpec.from_r_squared(r_squared), omega=omega, alpha=alpha, nbar=nbar
+        bs=BeamsplitterSpec(r_squared), omega=omega, alpha=alpha, nbar=nbar
     )
 
 

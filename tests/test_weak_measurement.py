@@ -34,7 +34,7 @@ ALPHA_60 = math.radians(60.0)
 
 def make_setup(r_squared=0.75, omega=1.0, alpha=ALPHA_60, nbar=0.0):
     return OpticalSetup(
-        bs=BeamsplitterSpec.from_r_squared(r_squared), omega=omega, alpha=alpha, nbar=nbar
+        bs=BeamsplitterSpec(r_squared), omega=omega, alpha=alpha, nbar=nbar
     )
 
 
@@ -177,7 +177,7 @@ class TestFirstOrderJoint:
 
     def test_postselection_mean_tracks_exact_to_second_order(self):
         # |mean_fo - mean_exact| stays below 0.5 * delta * (delta/spread)^2
-        psi = intra_state(BeamsplitterSpec.from_r_squared(0.75))
+        psi = intra_state(BeamsplitterSpec(0.75))
         for ratio in (1e-3, 1e-2):
             setup = make_setup(omega=10.0 * ratio)
             delta = setup.delta_kick
@@ -192,24 +192,24 @@ class TestFirstOrderJoint:
 class TestWeakValue:
     @pytest.mark.parametrize("r_squared", [0.51, 0.6, 0.75, 0.9, 0.99])
     def test_d1_is_one_half(self, r_squared):
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
+        bs = BeamsplitterSpec(r_squared)
         wv = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D1))
         assert abs(wv - 0.5) < 1e-12
 
     def test_d2_unbalanced(self):
-        bs = BeamsplitterSpec.from_r_squared(0.75)
+        bs = BeamsplitterSpec(0.75)
         wv = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D2))
         assert abs(wv - (-0.5)) < 1e-12  # -t^2/(r^2-t^2) = -0.25/0.5
 
     @pytest.mark.parametrize("r_squared", [0.51, 0.6, 0.75, 0.9, 0.99])
     def test_d2_closed_form(self, r_squared):
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
+        bs = BeamsplitterSpec(r_squared)
         wv = weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D2))
         t2 = 1.0 - r_squared
         assert abs(wv - (-t2 / (r_squared - t2))) < 1e-12
 
     def test_balanced_d2_is_forbidden(self):
-        bs = BeamsplitterSpec.from_r_squared(0.5)
+        bs = BeamsplitterSpec(0.5)
         with pytest.raises(ZeroOverlapError):
             weak_value_PB(intra_state(bs), detector_state(bs, CHANNEL_D2))
 
@@ -219,7 +219,7 @@ class TestWeakValue:
         st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
     def test_invariant_under_global_phases(self, r_squared, theta_psi, theta_post):
-        bs = BeamsplitterSpec.from_r_squared(r_squared)
+        bs = BeamsplitterSpec(r_squared)
         psi = intra_state(bs)
         phi = detector_state(bs, CHANNEL_D2)
         u = cmath.exp(1j * theta_psi)
@@ -250,7 +250,7 @@ class TestPostselect:
         assert res.mean_kick == pytest.approx(-0.49626865865015585, abs=1e-5)
 
     def test_probabilities_match_oracle_and_sum_to_one(self):
-        bs = BeamsplitterSpec.from_r_squared(0.75)
+        bs = BeamsplitterSpec(0.75)
         psi = intra_state(bs)
         phi1 = detector_state(bs, CHANNEL_D1)
         phi2 = detector_state(bs, CHANNEL_D2)
@@ -269,8 +269,8 @@ class TestPostselect:
 
     def test_momentum_bookkeeping_at_any_coupling(self):
         # P(D1) E[p|D1] + P(D2) E[p|D2] = t^2 * delta at every coupling strength
-        psi = intra_state(BeamsplitterSpec.from_r_squared(0.75))
-        bs = BeamsplitterSpec.from_r_squared(0.75)
+        psi = intra_state(BeamsplitterSpec(0.75))
+        bs = BeamsplitterSpec(0.75)
         phi1 = detector_state(bs, CHANNEL_D1)
         phi2 = detector_state(bs, CHANNEL_D2)
         for ratio in (0.01, 0.1, 1.0, 4.0):
@@ -284,7 +284,7 @@ class TestPostselect:
 
     def test_forbidden_outcome_raises(self, pointer):
         # balanced splitter at zero kick: the D2 projection vanishes identically
-        bs = BeamsplitterSpec.from_r_squared(0.5)
+        bs = BeamsplitterSpec(0.5)
         joint = couple_with_kick(intra_state(bs), pointer, 0.0)
         with pytest.raises(ZeroOverlapError):
             postselect(joint, detector_state(bs, CHANNEL_D2))
