@@ -111,8 +111,9 @@ class ScenarioConfig:
             problems.append(f"trials: must be at most {ARRAY_LENGTH_MAX} (got {self.trials})")
         if problems:
             raise ConfigError("\n".join(problems))
-        if not math.isfinite(self.setup.delta_kick):
-            raise ConfigError(f"omega: the kick 2*omega*cos(alpha) overflows (got {self.omega})")
+        if not _is_normal(self.setup.delta_kick):
+            raise ConfigError(f"omega: the kick 2*omega*cos(alpha) must be a normal float "
+                              f"(got omega {self.omega}, alpha_degrees {self.alpha_degrees})")
 
     @cached_property
     def setup(self) -> OpticalSetup:
@@ -123,16 +124,6 @@ class ScenarioConfig:
             alpha=math.radians(self.alpha_degrees),
             nbar=self.nbar,
         )
-
-    def build_grid(self, max_shift: float) -> MomentumGrid:
-        if self.grid_halfwidth > 0.0:
-            grid = MomentumGrid(-self.grid_halfwidth, self.grid_halfwidth, self.grid_points)
-        else:
-            grid = default_grid(self.delta_spread, max_shift, self.grid_points)
-        if not _is_normal(grid.p_max * grid.p_max):
-            raise ConfigError(f"grid_halfwidth: the grid half-width (given, or 8 spreads plus "
-                              f"the largest kick) must square to a normal float (got {grid.p_max})")
-        return grid
 
 
 # Scenario field -> int or float: the one source for the CLI flags, the
@@ -213,26 +204,34 @@ def _expected_totals(setup: OpticalSetup):
 
 
 def _exact_channels(cfg: ScenarioConfig, kicks: list[float]):
-    """Both weak values, the pointer, then each kick's arm_b pointer and the
-    (probability, mean_kick) of D1 and of D2.
+    """Both weak values, then an iterator of (joint, d1, d2): each kick's joint state
+    and the (probability, mean_kick) of D1 and of D2.
 
-    Builds the states and one Gaussian pointer on a grid sized for the largest
-    |kick|. The weak values come before any grid work, so a forbidden channel
-    raises first; the returned iterator couples and post-selects as it is read.
+    Builds the states and one Gaussian pointer on a grid of half-width grid_halfwidth,
+    or, where that is 0, one sized for the largest |kick| by default_grid. The weak
+    values come before any grid work, so a forbidden channel raises first; the
+    returned iterator couples and post-selects as it is read.
     """
     psi = intra_state(cfg.setup.bs)
     phis = [detector_state(cfg.setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
-    pointer = gaussian_pointer(cfg.build_grid(max(abs(k) for k in kicks)), cfg.delta_spread)
+    if cfg.grid_halfwidth > 0.0:
+        grid = MomentumGrid(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
+    else:
+        grid = default_grid(cfg.delta_spread, max(abs(k) for k in kicks), cfg.grid_points)
+    if not _is_normal(grid.p_max * grid.p_max):
+        raise ConfigError(f"grid_halfwidth: the grid half-width (given, or 8 spreads plus "
+                          f"the largest kick) must square to a normal float (got {grid.p_max})")
+    pointer = gaussian_pointer(grid, cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
-    return weak, pointer, ((joint.arm_b, *(postselect(joint, phi) for phi in phis)) for joint in joints)
+    return weak, ((joint, *(postselect(joint, phi) for phi in phis)) for joint in joints)
 
 
 def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Weak values, exact conditional kicks, and net per-channel kicks."""
     kick1 = net_kick_d1(cfg.setup)
     kick2 = net_kick_d2(cfg.setup)  # raises ZeroOverlapError naming D2 at r = t
-    (wv1, wv2), _, [(_, d1, d2)] = _exact_channels(cfg, [cfg.setup.delta_kick])
+    (wv1, wv2), [(_, d1, d2)] = _exact_channels(cfg, [cfg.setup.delta_kick])
 
     channels = [
         {
@@ -301,20 +300,20 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
     it departs from once the coupling decoheres the photon. The rows are the
     report and, as columns, the one table.
     """
-    if not ratios or not all(map(math.isfinite, ratios)):
-        raise ConfigError(f"ratios: need at least one delta/spread ratio, all finite (got {ratios})")
     kicks = [ratio * cfg.delta_spread for ratio in ratios]
-    (_, wv2), pointer, results = _exact_channels(cfg, kicks)
+    if not kicks or not all(kick == 0.0 or _is_normal(kick) for kick in kicks):
+        raise ConfigError(f"ratios: need one or more, each ratio*delta_spread zero or normal (got {ratios})")
+    (_, wv2), results = _exact_channels(cfg, kicks)
     rows = [
         {
             "delta_over_spread": ratio,
-            "visibility": abs(overlap(pointer, arm_b)),
+            "visibility": abs(overlap(joint.arm_a, joint.arm_b)),
             "p_d1": p_d1,
             "p_d2": p_d2,
             "d2_mean_kick": d2_mean_kick,
             "d2_weak_kick": wv2.real * delta,
         }
-        for ratio, delta, (arm_b, (p_d1, _), (p_d2, d2_mean_kick))
+        for ratio, delta, (joint, (p_d1, _), (p_d2, d2_mean_kick))
         in zip(ratios, kicks, results)
     ]
     columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}

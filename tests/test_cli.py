@@ -95,15 +95,19 @@ class TestConfigLoading:
         assert "trials" in str(err.value)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(st.floats() | st.sampled_from(FLOAT_EDGES), st.floats() | st.sampled_from(FLOAT_EDGES))
-    def test_check_agrees_with_the_library(self, r_squared, alpha_degrees):
-        # Every r_squared and alpha_degrees is refused as a field, or builds the setup:
-        # no library ConstraintViolationError gets past the config check.
+    @given(*[st.floats() | st.sampled_from(FLOAT_EDGES)] * 3)
+    @example(0.75, 60.0, 5e-324)  # a subnormal kick
+    @example(0.75, math.nextafter(90.0, 0.0), 5e-324)  # a kick that rounds to 0
+    def test_check_agrees_with_the_library(self, r_squared, alpha_degrees, omega):
+        # Every r_squared, alpha_degrees and omega is refused as a field, or builds the
+        # setup with a normal kick: no library ConstraintViolationError gets past the
+        # config check, and no kick it passes underflows or overflows.
         try:
-            cfg = load_config(None, {"r_squared": r_squared, "alpha_degrees": alpha_degrees})
+            cfg = load_config(None, {"r_squared": r_squared, "alpha_degrees": alpha_degrees, "omega": omega})
         except ConfigError:
             return
         assert isinstance(cfg.setup, OpticalSetup)
+        assert sys.float_info.min <= abs(cfg.setup.delta_kick) <= sys.float_info.max
 
     @pytest.mark.parametrize(
         "content,field",
@@ -413,6 +417,8 @@ class TestFloatRange:
             (["ensemble", "--omega", "3e307", "--nbar", "2.5", "--r-squared", "0.6",
               "--trials", "20000"], "omega"),
             (["decoherence", "--ratios", "0.5", "1e300"], "grid_halfwidth"),
+            (["decoherence", "--ratios", "0.5", "1e308"], "ratios"),
+            (["decoherence", "--ratios", "1e-310", "0.5"], "ratios"),
             (["single-photon", "--omega", "-1e-3"], "omega"),
             # normal momenta, but a subnormal standard error
             (["ensemble", "--omega", "1e-307", "--trials", "1000"], "omega"),
@@ -420,8 +426,9 @@ class TestFloatRange:
             (["ensemble", "--omega", "3e-309", "--trials", "1000"], "omega"),
         ],
         ids=["spread-huge", "spread-square-overflow", "spread-tiny", "totals", "kick",
-             "momentum-overflow", "ratio-huge", "negative-exponent", "statistics-subnormal-1e-307",
-             "statistics-subnormal-1e-308", "statistics-subnormal-3e-309"],
+             "momentum-overflow", "ratio-huge", "ratio-kick-overflow", "ratio-kick-subnormal",
+             "negative-exponent", "statistics-subnormal-1e-307", "statistics-subnormal-1e-308",
+             "statistics-subnormal-3e-309"],
     )
     def test_out_of_range_exits_two_before_writing(self, tmp_path, capsys, argv, field):
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -429,13 +436,13 @@ class TestFloatRange:
         assert f"\n{field}:" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    # Inside the open ranges, yet t = sqrt(1 - r_squared) rounds to 1, or the
-    # angle in radians rounds to 0.
+    # Inside the open ranges, yet t = sqrt(1 - r_squared) rounds to 1, the angle
+    # in radians rounds to 0, or the kick 2*omega*cos(alpha) is subnormal.
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize(
         "flag,value",
         [("--r-squared", "5.5e-17"), ("--r-squared", "1e-300"), ("--r-squared", "5e-324"),
-         ("--alpha-degrees", "5e-324"), ("--alpha-degrees", "1e-322")],
+         ("--alpha-degrees", "5e-324"), ("--alpha-degrees", "1e-322"), ("--omega", "1e-320")],
     )
     def test_float_floor_exits_two_before_writing(self, tmp_path, capsys, command, flag, value):
         assert main([command, flag, value, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -651,6 +658,9 @@ class TestArgvProperty:
             names = sorted(path.name for path in Path(out).iterdir())
             if code != EXIT_OK:
                 assert names == []  # no data file and no staging directory
+                if code == EXIT_CONFIG:  # the second stderr line opens with the field at fault
+                    field = stderr.getvalue().splitlines()[1].partition(":")[0]
+                    assert field in [*cli.FIELD_TYPES, "config", "out", "ratios"], stderr.getvalue()
                 return
             # Exactly the command's files; the report file holds the text on stdout.
             document, stem = OUTPUT_FILES[argv[0]]
