@@ -203,25 +203,29 @@ def _expected_totals(setup: OpticalSetup):
     return report
 
 
-def _exact_channels(cfg: ScenarioConfig, kicks: list[float]):
+def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
     """Both weak values, then an iterator of (joint, d1, d2): each kick's joint state
     and the (probability, mean_kick) of D1 and of D2.
 
     Builds the states and one Gaussian pointer on a grid of half-width grid_halfwidth,
-    or, where that is 0, one sized for the largest |kick| by default_grid. The weak
-    values come before any grid work, so a forbidden channel raises first; the
-    returned iterator couples and post-selects as it is read.
+    or, where that is 0, one sized for the largest |kick| by default_grid; a half-width
+    whose square is not a normal float is refused under grid_halfwidth if it was given,
+    else under kick_field, the input the kicks were made from. The weak values come
+    before any grid work, so a forbidden channel raises first; the returned iterator
+    couples and post-selects as it is read.
     """
     psi = intra_state(cfg.setup.bs)
     phis = [detector_state(cfg.setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
     if cfg.grid_halfwidth > 0.0:
         grid = MomentumGrid(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
+        field, half = "grid_halfwidth", "the given grid half-width"
     else:
-        grid = default_grid(cfg.delta_spread, max(abs(k) for k in kicks), cfg.grid_points)
+        largest = max(abs(k) for k in kicks)
+        grid = default_grid(cfg.delta_spread, largest, cfg.grid_points)
+        field, half = kick_field, f"the grid half-width, 8 spreads plus the largest kick {largest},"
     if not _is_normal(grid.p_max * grid.p_max):
-        raise ConfigError(f"grid_halfwidth: the grid half-width (given, or 8 spreads plus "
-                          f"the largest kick) must square to a normal float (got {grid.p_max})")
+        raise ConfigError(f"{field}: {half} must square to a normal float (got {grid.p_max})")
     pointer = gaussian_pointer(grid, cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
     return weak, ((joint, *(postselect(joint, phi) for phi in phis)) for joint in joints)
@@ -231,7 +235,7 @@ def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
     """Weak values, exact conditional kicks, and net per-channel kicks."""
     kick1 = net_kick_d1(cfg.setup)
     kick2 = net_kick_d2(cfg.setup)  # raises ZeroOverlapError naming D2 at r = t
-    (wv1, wv2), [(_, d1, d2)] = _exact_channels(cfg, [cfg.setup.delta_kick])
+    (wv1, wv2), [(_, d1, d2)] = _exact_channels(cfg, [cfg.setup.delta_kick], "omega")
 
     channels = [
         {
@@ -303,7 +307,7 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
     kicks = [ratio * cfg.delta_spread for ratio in ratios]
     if not kicks or not all(kick == 0.0 or _is_normal(kick) for kick in kicks):
         raise ConfigError(f"ratios: need one or more, each ratio*delta_spread zero or normal (got {ratios})")
-    (_, wv2), results = _exact_channels(cfg, kicks)
+    (_, wv2), results = _exact_channels(cfg, kicks, "ratios")
     rows = [
         {
             "delta_over_spread": ratio,

@@ -4,12 +4,14 @@ The mirror is a quantum pointer described entirely by its momentum
 wavefunction phi(p). States are sampled on a uniform grid wide enough that
 both tails are negligible; all integrals use the trapezoidal rule, which is
 spectrally accurate once the tails are dead. Every pass over a grid works in
-blocks of GRID_BLOCK samples, so its temporaries are the size of a block, not
-of the grid; a grid of up to GRID_BLOCK points is one block.
+blocks of GRID_BLOCK samples, so its temporaries, the sample points among them,
+are the size of a block, not of the grid; a grid of up to GRID_BLOCK points is
+one block.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -38,7 +40,12 @@ def grid_blocks(n: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniform momentum grid with n samples on [p_min, p_max]."""
+    """Uniform momentum grid with n samples on [p_min, p_max].
+
+    The sample points are not stored: block_points makes those of a block when
+    a pass needs them. Only the first block's points (at most GRID_BLOCK + 1)
+    are kept, so a one-block grid reads the same array on every pass.
+    """
 
     p_min: float
     p_max: float
@@ -54,33 +61,53 @@ class MomentumGrid:
     def spacing(self) -> float:
         return (self.p_max - self.p_min) / (self.n - 1)
 
+    def block_points(self, s: slice) -> np.ndarray:
+        """The points p[s] of a block s, with the bits of np.linspace(p_min, p_max, n)[s]:
+        i * spacing + p_min for each index i, and p_max at index n - 1 (linspace scales
+        otherwise only where the spacing underflows to 0). A block within the first
+        GRID_BLOCK + 1 points is a read-only view of the cached array of them."""
+        if s.stop <= GRID_BLOCK + 1:
+            return self._first_points[s]
+        return self._points(s.start, s.stop)
+
     @cached_property
-    def points(self) -> np.ndarray:
-        p = np.linspace(self.p_min, self.p_max, self.n)
+    def _first_points(self) -> np.ndarray:
+        p = self._points(0, min(self.n, GRID_BLOCK + 1))
         p.flags.writeable = False
+        return p
+
+    def _points(self, start: int, stop: int) -> np.ndarray:
+        p = np.arange(start, stop, dtype=np.float64)  # exact integers
+        p *= self.spacing
+        p += self.p_min
+        if stop == self.n:
+            p[-1] = self.p_max
         return p
 
     @cached_property
     def _first_widths(self) -> np.ndarray:
-        """The interval widths np.diff(points) of the first integration block.
+        """The interval widths np.diff(p) of the first integration block.
         Kept because a one-block grid integrates thousands of times per scan:
         taking them anew made a 4,096-point decoherence kick about 20% slower."""
-        return np.diff(self.points[: GRID_BLOCK + 1])
+        return np.diff(self._first_points)
 
-    def integrate(self, sample: Callable[[slice], np.ndarray]) -> np.inexact:
-        """Trapezoidal integral over the grid of the samples y, read as y[s] = sample(s).
+    def integrate(self, sample: Callable[[slice, np.ndarray], np.ndarray]) -> np.inexact:
+        """Trapezoidal integral over the grid of the samples y, read as
+        y[s] = sample(s, p[s]), where p[s] are the block's points.
 
         The intervals are taken GRID_BLOCK at a time; neighbouring blocks share
         their end point, so each interval lies in exactly one block, and the
-        block sums are added in order. A grid of up to GRID_BLOCK + 1 points is
-        one block: the same expression, and so the same bits, as
-        np.trapezoid(y, points).
+        block sums are added in order. A block's points are made once, for its
+        widths and its samples. A grid of up to GRID_BLOCK + 1 points is one
+        block: the same expression, and so the same bits, as
+        np.trapezoid(y, np.linspace(p_min, p_max, n)).
         """
         total = None
         for start in range(0, self.n - 1, GRID_BLOCK):
             s = slice(start, min(start + GRID_BLOCK, self.n - 1) + 1)
-            widths = self._first_widths if start == 0 else np.diff(self.points[s])
-            y = sample(s)
+            p = self.block_points(s)
+            widths = self._first_widths if start == 0 else np.diff(p)
+            y = sample(s, p)
             part = (widths * (y[1:] + y[:-1]) / 2.0).sum()
             total = part if total is None else total + part
         return total
@@ -100,6 +127,9 @@ def default_grid(
 @dataclass(frozen=True, eq=False)
 class PointerState:
     """Complex wavefunction samples phi(p_k) on a momentum grid.
+
+    Only the amplitudes are stored; a pass that needs the points p_k takes
+    them block by block from grid.block_points.
 
     The amplitudes are read-only. A read-only array that owns its data is
     adopted as it is, so its maker hands it over and writes it no more; any
@@ -145,7 +175,7 @@ class PointerState:
     @cached_property
     def _norm_squared(self) -> float:
         amp = self.amplitudes
-        return float(self.grid.integrate(lambda s: np.abs(amp[s]) ** 2))
+        return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
 
     def require_normalized(self) -> None:
         nsq = self.norm_squared()
@@ -173,11 +203,11 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
             f"grid spacing {grid.spacing:.6g} is too coarse for spread {delta_spread} "
             f"(at most {max_spacing:.6g}); raise grid_points"
         )
-    p = grid.points
     amp = np.empty(grid.n, dtype=np.complex128)
     for s in grid_blocks(grid.n):
-        amp[s] = np.exp(-(p[s] * p[s]) / (2.0 * delta_spread * delta_spread))
-    amp /= math.sqrt(float(grid.integrate(lambda s: np.abs(amp[s]) ** 2)))
+        p = grid.block_points(s)
+        amp[s] = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread))
+    amp /= math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
     amp.flags.writeable = False
     return PointerState(grid, amp)
 
@@ -238,10 +268,18 @@ def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.nda
 
 def _wrap_band(grid: MomentumGrid, delta_kick: float) -> slice:
     """The samples a shift by delta_kick carries past the far edge: those with
-    p > p_max - delta_kick for a positive kick, p < p_min - delta_kick otherwise."""
+    p > p_max - delta_kick for a positive kick, p < p_min - delta_kick otherwise.
+
+    A binary search over the sample indices that makes each probed point alone,
+    so no array of points is built: the steps, and so the bound, of
+    np.searchsorted on np.linspace(p_min, p_max, n).
+    """
+    def point(i: int) -> float:
+        return grid.block_points(slice(i, i + 1))[0]
+
     if delta_kick > 0.0:
-        return slice(int(np.searchsorted(grid.points, grid.p_max - delta_kick, side="right")), None)
-    return slice(0, int(np.searchsorted(grid.points, grid.p_min - delta_kick, side="left")))
+        return slice(bisect.bisect_right(range(grid.n), grid.p_max - delta_kick, key=point), None)
+    return slice(0, bisect.bisect_left(range(grid.n), grid.p_min - delta_kick, key=point))
 
 
 def _peak_density(amp: np.ndarray) -> float:
@@ -255,8 +293,8 @@ def _peak_density(amp: np.ndarray) -> float:
 def mean_momentum(state: PointerState) -> float:
     """First moment of the momentum density of a normalized state."""
     state.require_normalized()
-    p, amp = state.grid.points, state.amplitudes
-    return float(state.grid.integrate(lambda s: p[s] * (np.abs(amp[s]) ** 2)))
+    amp = state.amplitudes
+    return float(state.grid.integrate(lambda s, p: p * (np.abs(amp[s]) ** 2)))
 
 
 def overlap(s1: PointerState, s2: PointerState) -> complex:
@@ -264,4 +302,4 @@ def overlap(s1: PointerState, s2: PointerState) -> complex:
     if s1.grid != s2.grid:
         raise GridMismatchError(f"grids differ: {s1.grid} vs {s2.grid}")
     a1, a2 = s1.amplitudes, s2.amplitudes
-    return complex(s1.grid.integrate(lambda s: np.conj(a1[s]) * a2[s]))
+    return complex(s1.grid.integrate(lambda s, _: np.conj(a1[s]) * a2[s]))

@@ -136,7 +136,7 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     # one-block grid keeps its bits (complex products may fuse multiply-adds).
     for s in grid_blocks(grid.n):
         np.add(ca * (a * amp_a[s]), cb * (b * amp_b[s]), out=cond[s])
-    probability = float(grid.integrate(lambda s: np.abs(cond[s]) ** 2))
+    probability = float(grid.integrate(lambda s, _: np.abs(cond[s]) ** 2))
     if probability < ZERO_OVERLAP_TOL:
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"

@@ -138,6 +138,23 @@ MANY_GROUPS_DIGESTS = {
     },
 }
 
+# Grids of 2**17 + 1 points: three blocks per grid pass, where every grid above
+# is one block. Captured like DIGESTS, before the grid points were made per block.
+MULTI_BLOCK = {
+    "single-photon": ["single-photon", "--grid-points", "131073"],
+    "decoherence": ["decoherence", "--grid-points", "131073", "--ratios", "0", "0.3", "2.5", "-0.7"],
+}
+MULTI_BLOCK_DIGESTS = {
+    "single-photon": {
+        "<stdout>": "4278fa925eecc3ae83800be82e9e116c888e17bb5224625cf51a5ecb959b7369",
+        "single_photon.json": "4278fa925eecc3ae83800be82e9e116c888e17bb5224625cf51a5ecb959b7369",
+    },
+    "decoherence": {
+        "<stdout>": "0ce85fbe903f0db4d1e9203ed33be3290e6a8867a2c5bf436cd8cce89ea98229",
+        "decoherence_scan.csv": "b0d20c4518a7aa1e5794fbced23e7940b4090a88f7391a07bc7918313a9dc191",
+    },
+}
+
 
 def run_digests(argv, out_dir, capsys) -> dict[str, str]:
     """Run one CLI invocation; return the SHA-256 of stdout and of each output file."""
@@ -166,6 +183,15 @@ def test_many_poisson_groups_match_golden_digests(tmp_path, capsys, fmt):
     got = run_digests([*MANY_GROUPS, "--format", fmt], tmp_path, capsys)
     assert got == MANY_GROUPS_DIGESTS[fmt], (
         f"many-groups ensemble ({fmt}) changed (digests captured with numpy 2.4.6, "
+        f"running numpy {np.__version__})"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK))
+def test_multi_block_grids_match_golden_digests(tmp_path, capsys, case):
+    got = run_digests(MULTI_BLOCK[case], tmp_path, capsys)
+    assert got == MULTI_BLOCK_DIGESTS[case], (
+        f"multi-block {case} changed (digests captured with numpy 2.4.6, "
         f"running numpy {np.__version__})"
     )
 

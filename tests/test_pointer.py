@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mzkick
@@ -30,6 +30,11 @@ from mzkick.pointer import (
 SPREAD = 10.0
 
 
+def grid_points(grid: MomentumGrid) -> np.ndarray:
+    """The grid's sample points, as numpy spaces them: the oracle for block_points."""
+    return np.linspace(grid.p_min, grid.p_max, grid.n)
+
+
 def gaussian_overlap(delta: float, spread: float) -> float:
     """Closed-form overlap of a Gaussian with its own shift: exp(-d^2/(4 s^2))."""
     return math.exp(-(delta**2) / (4.0 * spread**2))
@@ -48,9 +53,10 @@ def gauss(grid):
 class TestMomentumGrid:
     def test_spacing_and_points(self, grid):
         assert grid.spacing == pytest.approx(240.0 / 2047)
-        assert grid.points[0] == -120.0
-        assert grid.points[-1] == 120.0
-        assert np.allclose(np.diff(grid.points), grid.spacing)
+        p = grid.block_points(slice(0, grid.n))
+        assert p[0] == -120.0 and p[-1] == 120.0
+        assert np.allclose(np.diff(p), grid.spacing)
+        assert not p.flags.writeable  # a view of the cached first block
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConstraintViolationError):
@@ -94,7 +100,7 @@ class TestIntegrate:
     @given(grid_and_samples())
     def test_bit_identical_to_numpy_trapezoid(self, case):
         grid, y = case
-        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid.points)
+        got, want = grid.integrate(lambda s, _: y[s]), np.trapezoid(y, grid_points(grid))
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -106,7 +112,7 @@ class TestGaussianPointer:
 
     def test_momentum_standard_deviation(self, gauss):
         # second moment of the density exp(-p^2/spread^2) is spread^2/2
-        p = gauss.grid.points
+        p = grid_points(gauss.grid)
         second = np.trapezoid(p * p * (np.abs(gauss.amplitudes) ** 2), p)
         assert math.sqrt(second) == pytest.approx(7.071067811865475, abs=1e-6)
 
@@ -146,8 +152,8 @@ class TestPointerStateIdentity:
 
 
 def gaussian_samples(grid):
-    amp = np.exp(-(grid.points**2) / (2.0 * SPREAD**2)).astype(np.complex128)
-    amp /= math.sqrt(np.trapezoid(np.abs(amp) ** 2, grid.points))
+    amp = np.exp(-(grid_points(grid) ** 2) / (2.0 * SPREAD**2)).astype(np.complex128)
+    amp /= math.sqrt(np.trapezoid(np.abs(amp) ** 2, grid_points(grid)))
     return amp
 
 
@@ -170,7 +176,7 @@ class TestPointerStateAdoption:
         assert not np.shares_memory(state.amplitudes, base)
         base *= 3.0
         assert np.array_equal(state.amplitudes, original)
-        assert state.norm_squared() == float(np.trapezoid(np.abs(original) ** 2, grid.points))
+        assert state.norm_squared() == float(np.trapezoid(np.abs(original) ** 2, grid_points(grid)))
 
     def test_amplitudes_are_read_only(self, gauss):
         with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ class TestShift:
     def test_matches_analytic_translation(self, gauss):
         # oracle: re-evaluate the normalized Gaussian at p - 1 on the same grid
         moved = shift(gauss, 1.0)
-        p = gauss.grid.points
+        p = grid_points(gauss.grid)
         ref = np.exp(-((p - 1.0) ** 2) / (2.0 * SPREAD**2)).astype(complex)
         ref /= math.sqrt(np.trapezoid(np.abs(ref) ** 2, p))
         assert np.max(np.abs(moved.amplitudes - ref)) < 1e-12
@@ -230,7 +236,7 @@ class TestShift:
 
     def test_translation_of_asymmetric_wavefunction(self, grid):
         # two unequal humps: exercises the shift away from the symmetric case
-        p = grid.points
+        p = grid_points(grid)
         amp = np.exp(-((p - 2.0) ** 2) / 50.0) + 0.5 * np.exp(-((p + 5.0) ** 2) / 200.0)
         amp = amp.astype(complex)
         amp /= math.sqrt(np.trapezoid(np.abs(amp) ** 2, p))
@@ -273,7 +279,7 @@ def parent_shift(state: PointerState, delta_kick: float) -> PointerState:
     span = grid.p_max - grid.p_min
     if abs(delta_kick) >= span:
         raise GridCoverageError(f"shift {delta_kick} exceeds the grid span {span}")
-    p = grid.points
+    p = grid_points(grid)
     dens = np.abs(state.amplitudes) ** 2
     peak = float(dens.max())
     if delta_kick > 0.0:
@@ -288,7 +294,7 @@ def parent_shift(state: PointerState, delta_kick: float) -> PointerState:
 
 
 def parent_mask(grid: MomentumGrid, delta_kick: float) -> np.ndarray:
-    p = grid.points
+    p = grid_points(grid)
     return p > grid.p_max - delta_kick if delta_kick > 0.0 else p < grid.p_min - delta_kick
 
 
@@ -303,7 +309,7 @@ def box_state(grid: MomentumGrid) -> PointerState:
 def boundary_kicks(grid: MomentumGrid) -> list[float]:
     """Exact multiples of the spacing, and kicks that put the band edge on a
     grid point or one ulp either side of it, both signs."""
-    p = grid.points
+    p = grid_points(grid)
     kicks = [k * grid.spacing for k in range(1, grid.n - 1)]
     kicks += [grid.p_max - x for x in p[1:]] + [grid.p_min - x for x in p[:-1]]
     kicks += [np.nextafter(k, s) for k in kicks[: grid.n] for s in (-np.inf, np.inf)]
@@ -358,7 +364,7 @@ class TestMeanMomentum:
         # (phi(p) + phi(p - d)) is symmetric about d/2 for every d
         for delta in (1.0, 8.0, 25.0):
             summed = gauss.amplitudes + shift(gauss, delta).amplitudes
-            p = gauss.grid.points
+            p = grid_points(gauss.grid)
             summed /= math.sqrt(np.trapezoid(np.abs(summed) ** 2, p))
             state = PointerState(gauss.grid, summed)
             assert mean_momentum(state) == pytest.approx(delta / 2.0, abs=1e-8)
@@ -431,7 +437,7 @@ MULTI_BLOCK = 3 * GRID_BLOCK + 5  # odd, so the spectrum has no Nyquist bin
 def bump_state(grid: MomentumGrid) -> PointerState:
     """A Gaussian a tenth of the grid wide: dead at both edges at any n."""
     width = (grid.p_max - grid.p_min) / 20.0
-    return PointerState(grid, np.exp(-((grid.points / width) ** 2)).astype(np.complex128))
+    return PointerState(grid, np.exp(-((grid_points(grid) / width) ** 2)).astype(np.complex128))
 
 
 class TestGridBlocks:
@@ -446,8 +452,9 @@ class TestGridBlocks:
         grid = MomentumGrid(-1.0, 1.0, n)
         read = []
 
-        def sample(s):
+        def sample(s, p):
             read.append(s)
+            assert p.tobytes() == grid_points(grid)[s].tobytes()
             return np.ones(len(range(n)[s]))
 
         assert grid.integrate(sample) == pytest.approx(2.0, rel=1e-12)
@@ -466,14 +473,14 @@ class TestGridBlocks:
         y = rng.standard_normal(n).astype(dtype)
         if dtype is np.complex128:
             y.imag = rng.standard_normal(n)
-        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid.points)
+        got, want = grid.integrate(lambda s, _: y[s]), np.trapezoid(y, grid_points(grid))
         if n <= GRID_BLOCK + 1:  # one block: numpy's own expression
             assert got.tobytes() == want.tobytes()
             return
         # The block sums are added in order, where numpy sums all terms
         # pairwise; each order is within (log2(n) + 8) eps of the summed
         # magnitudes, so the two differ by at most 64 eps of them.
-        terms = np.diff(grid.points) * (y[1:] + y[:-1]) / 2.0
+        terms = np.diff(grid_points(grid)) * (y[1:] + y[:-1]) / 2.0
         assert abs(got - want) <= 64 * sys.float_info.epsilon * np.sum(np.abs(terms))
 
     @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
@@ -510,3 +517,37 @@ class TestGridBlocks:
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert mean_momentum(moved) == pytest.approx(13.7, abs=1e-10)
         assert abs(overlap(state, moved)) == pytest.approx(gaussian_overlap(13.7, SPREAD), abs=1e-12)
+
+
+@st.composite
+def grid_and_kick(draw):
+    """A grid of any bounds and a size about a block edge, and a kick whose band
+    edge lands on a sample or between two, of either sign."""
+    ends = draw(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=2, max_size=2, unique=True))
+    n = draw(st.one_of(st.sampled_from([16, GRID_BLOCK, GRID_BLOCK + 1, GRID_BLOCK + 2, 2 * GRID_BLOCK + 1]),
+                       st.integers(min_value=16, max_value=2 * GRID_BLOCK + 1)))
+    assume((max(ends) - min(ends)) / (n - 1) > 0.0)  # linspace scales otherwise at spacing 0
+    grid = MomentumGrid(min(ends), max(ends), n)
+    p = grid_points(grid)
+    j = draw(st.integers(min_value=0, max_value=n - 2))
+    edge = p[j] if draw(st.booleans()) else p[j] / 2.0 + p[j + 1] / 2.0
+    kick = grid.p_max - edge if draw(st.booleans()) else grid.p_min - edge
+    return grid, kick
+
+
+class TestBlockPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_and_kick())
+    def test_blocks_and_wrap_band_match_linspace(self, case):
+        grid, kick = case
+        p = grid_points(grid)
+        n = grid.n
+        integration = [slice(a, min(a + GRID_BLOCK, n - 1) + 1) for a in range(0, n - 1, GRID_BLOCK)]
+        for s in grid_blocks(n) + integration + [slice(0, n)]:
+            assert grid.block_points(s).tobytes() == p[s].tobytes(), s
+        if kick > 0.0:
+            want = slice(int(np.searchsorted(p, grid.p_max - kick, side="right")), None)
+        else:
+            want = slice(0, int(np.searchsorted(p, grid.p_min - kick, side="left")))
+        indices = np.arange(n)
+        assert np.array_equal(indices[_wrap_band(grid, kick)], indices[want])
