@@ -27,7 +27,7 @@ import numpy as np
 from .ensemble import POISSON_NBAR_MAX, binary_scaled, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, ConstraintViolationError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
-from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_grid, gaussian_pointer, overlap
+from .pointer import COVERAGE_SPREADS, DEFAULT_GRID_POINTS, MomentumGrid, gaussian_pointer, overlap
 from .weak_measurement import (
     OpticalSetup,
     couple_with_kick,
@@ -208,25 +208,25 @@ def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
     and the (probability, mean_kick) of D1 and of D2.
 
     Builds the states and one Gaussian pointer on a grid of half-width grid_halfwidth,
-    or, where that is 0, one sized for the largest |kick| by default_grid; a half-width
-    whose square is not a normal float is refused under grid_halfwidth if it was given,
-    else under kick_field, the input the kicks were made from. The weak values come
-    before any grid work, so a forbidden channel raises first; the returned iterator
-    couples and post-selects as it is read.
+    or, where that is 0, one sized for the largest |kick| as default_grid sizes it; a
+    half-width whose square is not a normal float is refused, before the grid is built,
+    under grid_halfwidth if it was given, else under kick_field, the input the kicks
+    were made from. The weak values come before any grid work, so a forbidden channel
+    raises first; the returned iterator couples and post-selects as it is read.
     """
     psi = intra_state(cfg.setup.bs)
     phis = [detector_state(cfg.setup.bs, channel) for channel in CHANNELS]
     weak = [weak_value_PB(psi, phi) for phi in phis]
     if cfg.grid_halfwidth > 0.0:
-        grid = MomentumGrid(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_points)
-        field, half = "grid_halfwidth", "the given grid half-width"
+        half = cfg.grid_halfwidth
+        field, what = "grid_halfwidth", "the given grid half-width"
     else:
         largest = max(abs(k) for k in kicks)
-        grid = default_grid(cfg.delta_spread, largest, cfg.grid_points)
-        field, half = kick_field, f"the grid half-width, 8 spreads plus the largest kick {largest},"
-    if not _is_normal(grid.p_max * grid.p_max):
-        raise ConfigError(f"{field}: {half} must square to a normal float (got {grid.p_max})")
-    pointer = gaussian_pointer(grid, cfg.delta_spread)
+        half = largest + COVERAGE_SPREADS * cfg.delta_spread
+        field, what = kick_field, f"the grid half-width, 8 spreads plus the largest kick {largest},"
+    if not _is_normal(half * half):
+        raise ConfigError(f"{field}: {what} must square to a normal float (got {half})")
+    pointer = gaussian_pointer(MomentumGrid(-half, half, cfg.grid_points), cfg.delta_spread)
     joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
     return weak, ((joint, *(postselect(joint, phi) for phi in phis)) for joint in joints)
 

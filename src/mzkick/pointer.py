@@ -6,16 +6,22 @@ both tails are negligible; all integrals use the trapezoidal rule, which is
 spectrally accurate once the tails are dead. Every pass over a grid works in
 blocks of GRID_BLOCK samples, so its temporaries, the sample points among them,
 are the size of a block, not of the grid; a grid of up to GRID_BLOCK points is
-one block.
+one block. block_map runs the blocks of a pass on one worker thread per usable
+CPU and returns their results in block order; each block is computed by the
+same operations whichever thread runs it, and the results are combined in
+block order, so the bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
+import operator
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -38,6 +44,54 @@ def grid_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + GRID_BLOCK, n)) for start in range(0, n, GRID_BLOCK)]
 
 
+def block_map(fn: Callable[[slice], object], blocks: list[slice]) -> list:
+    """[fn(s) for s in blocks], in block order.
+
+    With two or more blocks and two or more usable CPUs the blocks run on a
+    thread pool with one worker per CPU, each in a copy of the caller's
+    contextvars context, so a numpy errstate the caller set holds in them;
+    otherwise they run inline. fn runs on any thread in any order, so it may
+    write only to its own block, and it must not call block_map itself, whose
+    blocks would wait for the workers it holds. An exception raised in a
+    block reaches the caller as it was raised.
+    """
+    if len(blocks) < 2 or _cpus() < 2:
+        return [fn(s) for s in blocks]
+    futures = [_pool().submit(contextvars.copy_context().run, fn, s) for s in blocks]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        from concurrent.futures import wait
+
+        for f in futures:  # the blocks not yet started, once one has raised
+            f.cancel()
+        wait(futures)  # no block runs on after block_map returns
+
+
+@cache
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    # Imported on first use (about 8 ms and 0.7 MiB), so a run whose grids are
+    # one block never pays for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="grid-block")
+
+
+def trapezoid(widths: np.ndarray, y: np.ndarray) -> np.inexact:
+    """The trapezoidal sum of samples y over intervals of the given widths, in
+    the expression numpy 2.4's np.trapezoid evaluates."""
+    return (widths * (y[1:] + y[:-1]) / 2.0).sum()
+
+
 @dataclass(frozen=True)
 class MomentumGrid:
     """Uniform momentum grid with n samples on [p_min, p_max].
@@ -56,6 +110,11 @@ class MomentumGrid:
             raise ConstraintViolationError(f"need p_max > p_min, got [{self.p_min}, {self.p_max}]")
         if self.n < 16:
             raise ConstraintViolationError(f"need at least 16 grid points, got {self.n}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConstraintViolationError(
+                f"grid spacing {self.spacing!r} of [{self.p_min}, {self.p_max}] over {self.n} points "
+                "must be finite and nonzero"
+            )
 
     @property
     def spacing(self) -> float:
@@ -91,26 +150,30 @@ class MomentumGrid:
         taking them anew made a 4,096-point decoherence kick about 20% slower."""
         return np.diff(self._first_points)
 
+    def interval_map(self, fn: Callable[[slice, np.ndarray, np.ndarray], object]) -> list:
+        """[fn(s, p[s], np.diff(p[s])) for each integration block s], in order, by block_map.
+
+        The intervals are taken GRID_BLOCK at a time; neighbouring blocks share
+        their end point, so each interval lies in exactly one block. A block's
+        points are made once, for its widths and for fn.
+        """
+        def run(s: slice):
+            p = self.block_points(s)
+            return fn(s, p, self._first_widths if s.start == 0 else np.diff(p))
+
+        last = self.n - 1
+        return block_map(run, [slice(a, min(a + GRID_BLOCK, last) + 1) for a in range(0, last, GRID_BLOCK)])
+
     def integrate(self, sample: Callable[[slice, np.ndarray], np.ndarray]) -> np.inexact:
         """Trapezoidal integral over the grid of the samples y, read as
         y[s] = sample(s, p[s]), where p[s] are the block's points.
 
-        The intervals are taken GRID_BLOCK at a time; neighbouring blocks share
-        their end point, so each interval lies in exactly one block, and the
-        block sums are added in order. A block's points are made once, for its
-        widths and its samples. A grid of up to GRID_BLOCK + 1 points is one
-        block: the same expression, and so the same bits, as
-        np.trapezoid(y, np.linspace(p_min, p_max, n)).
+        The sums of the interval_map blocks are added in order. A grid of up to
+        GRID_BLOCK + 1 points is one block: the same expression, and so the
+        same bits, as np.trapezoid(y, np.linspace(p_min, p_max, n)). sample
+        must be pure: the blocks run on any thread in any order.
         """
-        total = None
-        for start in range(0, self.n - 1, GRID_BLOCK):
-            s = slice(start, min(start + GRID_BLOCK, self.n - 1) + 1)
-            p = self.block_points(s)
-            widths = self._first_widths if start == 0 else np.diff(p)
-            y = sample(s, p)
-            part = (widths * (y[1:] + y[:-1]) / 2.0).sum()
-            total = part if total is None else total + part
-        return total
+        return reduce(operator.add, self.interval_map(lambda s, p, widths: trapezoid(widths, sample(s, p))))
 
 
 def default_grid(
@@ -140,8 +203,9 @@ class PointerState:
     Adoption is a contract, not a check: the maker of an adopted array must
     not set it writeable again, because the cached peak and norm assume it
     never changes. The hand-over sites are filter_spectrum (the filtered
-    spectrum, transformed back in place), gaussian_pointer (its samples) and
-    weak_measurement.postselect (the conditional pointer it builds).
+    spectrum, transformed back in place) and gaussian_pointer (its samples).
+    weak_measurement.postselect builds no state: it runs the same checks,
+    check_samples, on the numbers it takes from its conditional pointer.
     """
 
     grid: MomentumGrid
@@ -157,14 +221,7 @@ class PointerState:
                 f"amplitudes shape {amp.shape} does not match grid with n={self.grid.n}"
             )
         peak = _peak_density(amp)
-        if peak == 0.0:
-            raise ConstraintViolationError("wavefunction is identically zero")
-        # Tail capture: the grid must contain essentially all the density.
-        if abs(amp[0]) ** 2 >= TAIL_DENSITY_RATIO * peak or abs(amp[-1]) ** 2 >= TAIL_DENSITY_RATIO * peak:
-            raise GridCoverageError(
-                "wavefunction density at the grid edges exceeds "
-                f"{TAIL_DENSITY_RATIO} of the peak; widen the grid"
-            )
+        check_samples(peak, abs(amp[0]), abs(amp[-1]))
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "peak", peak)
@@ -178,9 +235,25 @@ class PointerState:
         return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
 
     def require_normalized(self) -> None:
-        nsq = self.norm_squared()
-        if abs(nsq - 1.0) > 1e-8:
-            raise ConstraintViolationError(f"pointer state not normalized: integral = {nsq!r}")
+        amp = self.amplitudes
+        check_samples(self.peak, abs(amp[0]), abs(amp[-1]), self.norm_squared())
+
+
+def check_samples(peak: float, first: float, last: float, norm_squared: float | None = None) -> None:
+    """The checks of a pointer state, on numbers taken from its samples: the
+    peak density is nonzero, the edge magnitudes first = |phi(p_min)| and
+    last = |phi(p_max)| carry less than TAIL_DENSITY_RATIO of it, and the norm,
+    where given, lies within 1e-8 of 1. They raise in that order."""
+    if peak == 0.0:
+        raise ConstraintViolationError("wavefunction is identically zero")
+    # Tail capture: the grid must contain essentially all the density.
+    if first**2 >= TAIL_DENSITY_RATIO * peak or last**2 >= TAIL_DENSITY_RATIO * peak:
+        raise GridCoverageError(
+            "wavefunction density at the grid edges exceeds "
+            f"{TAIL_DENSITY_RATIO} of the peak; widen the grid"
+        )
+    if norm_squared is not None and abs(norm_squared - 1.0) > 1e-8:
+        raise ConstraintViolationError(f"pointer state not normalized: integral = {norm_squared!r}")
 
 
 def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
@@ -204,9 +277,12 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
             f"(at most {max_spacing:.6g}); raise grid_points"
         )
     amp = np.empty(grid.n, dtype=np.complex128)
-    for s in grid_blocks(grid.n):
+
+    def fill(s: slice) -> None:
         p = grid.block_points(s)
         amp[s] = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread))
+
+    block_map(fill, grid_blocks(grid.n))
     amp /= math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
     amp.flags.writeable = False
     return PointerState(grid, amp)
@@ -245,7 +321,8 @@ def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.nda
 
     The spectrum is multiplied in place a block at a time, by response of the
     block's frequencies, so neither the full factor nor the full frequency
-    array is ever built; the inverse transform works in place too.
+    array is ever built; the inverse transform works in place too. response
+    must be pure: the blocks run on any thread in any order.
     """
     grid = state.grid
     n = grid.n
@@ -253,7 +330,8 @@ def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.nda
     # The bits of np.fft.fftfreq(n, d): the bins k, wrapped to k - n from
     # k = (n + 1) // 2 on, times 1 / (n * d).
     scale = 1.0 / (n * grid.spacing)
-    for s in grid_blocks(n):
+
+    def multiply(s: slice) -> None:
         bins = np.arange(s.start, s.stop)
         wrapped = bins[max((n + 1) // 2 - s.start, 0):]
         wrapped -= n
@@ -261,6 +339,8 @@ def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.nda
         # which P * F need not (fused multiply-add).
         block = spectrum[s]
         block *= response(bins * scale)
+
+    block_map(multiply, grid_blocks(n))
     np.fft.ifft(spectrum, out=spectrum)
     spectrum.flags.writeable = False
     return PointerState(grid, spectrum)
@@ -286,7 +366,12 @@ def _peak_density(amp: np.ndarray) -> float:
     """max |amp|^2 over a non-empty array, as the square of the blockwise max
     of |amp|: squaring is monotonic, so the bits are those of max(|amp|**2),
     and np.maximum passes a nan on as np.max does."""
-    top = float(reduce(np.maximum, (np.abs(amp[s]).max() for s in grid_blocks(amp.size))))
+    return peak_of(block_map(lambda s: np.abs(amp[s]).max(), grid_blocks(amp.size)))
+
+
+def peak_of(maxima: list) -> float:
+    """The peak density from the maxima of |amp| over blocks that cover the array."""
+    top = float(reduce(np.maximum, maxima))
     return top * top
 
 

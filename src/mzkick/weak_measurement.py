@@ -12,14 +12,17 @@ which exactly cancels their inside kick.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, filter_spectrum, grid_blocks, mean_momentum, shift
+from .pointer import PointerState, check_samples, filter_spectrum, peak_of, shift, trapezoid
+from .pointer import mean_momentum  # noqa: F401 -- perfbench/traced.py wraps it here by name
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
@@ -123,27 +126,53 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     """Project the joint state onto a photon channel; exact at any coupling.
 
     Returns the channel probability and the mean momentum of the normalized
-    conditional mirror state, which is validated as a PointerState and then
-    dropped. The probability reading assumes the joint state is normalized
+    conditional mirror state. The state is never stored: two passes over the
+    grid blocks each build it a block at a time, the first for the
+    probability, the second, normalized, for its peak, edge samples, norm and
+    first moment, which then pass the checks of a PointerState (check_samples).
+    The probability reading assumes the joint state is normalized
     (couple_with_kick guarantees this; first_order_joint does not).
     """
     grid = joint.arm_a.grid
     ca, cb = phi_post.a.conjugate(), phi_post.b.conjugate()
     a, b = joint.psi.a, joint.psi.b
     amp_a, amp_b = joint.arm_a.amplitudes, joint.arm_b.amplitudes
-    cond = np.empty(grid.n, dtype=np.complex128)
-    # The products in the order the whole-grid expression took them, so a
-    # one-block grid keeps its bits (complex products may fuse multiply-adds).
-    for s in grid_blocks(grid.n):
-        np.add(ca * (a * amp_a[s]), cb * (b * amp_b[s]), out=cond[s])
-    probability = float(grid.integrate(lambda s, _: np.abs(cond[s]) ** 2))
+
+    def magnitude(s: slice, norm: float | None) -> np.ndarray:
+        """|ca*(a*phi_a) + cb*(b*phi_b)|, divided by norm if given, on block s.
+        In place in two block arrays, with the operands in the order of the
+        whole-grid expression, so the bits are its bits (complex products may
+        fuse multiply-adds)."""
+        c = np.multiply(a, amp_a[s])
+        np.multiply(ca, c, out=c)
+        d = np.multiply(b, amp_b[s])
+        np.multiply(cb, d, out=d)
+        np.add(c, d, out=c)
+        del d
+        if norm is not None:
+            np.true_divide(c, norm, out=c)
+        return np.abs(c)
+
+    def density(s: slice, _) -> np.ndarray:
+        m = magnitude(s, None)
+        return np.square(m, out=m)
+
+    probability = float(grid.integrate(density))
     if probability < ZERO_OVERLAP_TOL:
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
-    cond /= math.sqrt(probability)
-    cond.flags.writeable = False
-    return PostselectionResult(probability, mean_momentum(PointerState(grid, cond)))
+    norm = math.sqrt(probability)
+
+    def moments(s: slice, p: np.ndarray, widths: np.ndarray) -> tuple:
+        m = magnitude(s, norm)
+        top, first, last = m.max(), m[0], m[-1]
+        dens = np.square(m, out=m)
+        return top, first, last, trapezoid(widths, dens), trapezoid(widths, np.multiply(p, dens, out=dens))
+
+    tops, firsts, lasts, norms, means = zip(*grid.interval_map(moments))
+    check_samples(peak_of(tops), firsts[0], lasts[-1], float(reduce(operator.add, norms)))
+    return PostselectionResult(probability, float(reduce(operator.add, means)))
 
 
 def net_kick_d1(setup: OpticalSetup) -> float:

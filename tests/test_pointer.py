@@ -3,6 +3,7 @@
 import ast
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mzkick
+from mzkick import pointer
 from mzkick.errors import ConstraintViolationError, GridCoverageError, GridMismatchError
 from mzkick.pointer import (
     GRID_BLOCK,
@@ -18,6 +20,7 @@ from mzkick.pointer import (
     MomentumGrid,
     PointerState,
     _wrap_band,
+    block_map,
     default_grid,
     filter_spectrum,
     gaussian_pointer,
@@ -65,6 +68,11 @@ class TestMomentumGrid:
     def test_rejects_too_few_points(self):
         with pytest.raises(ConstraintViolationError):
             MomentumGrid(-10.0, 10.0, 8)
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, 5e-324)], ids=["infinite", "zero"])
+    def test_rejects_a_spacing_that_is_not_finite_and_nonzero(self, bounds):
+        with pytest.raises(ConstraintViolationError, match="grid spacing .* must be finite and nonzero"):
+            MomentumGrid(*bounds, 16)
 
     def test_default_grid_covers_spread_and_shift(self):
         g = default_grid(SPREAD, max_shift=40.0)
@@ -458,6 +466,7 @@ class TestGridBlocks:
             return np.ones(len(range(n)[s]))
 
         assert grid.integrate(sample) == pytest.approx(2.0, rel=1e-12)
+        read.sort(key=lambda s: s.start)  # blocks run on any thread in any order
         assert 0 == read[0].start and read[-1].stop == n
         # Neighbouring blocks share one end point, so every interval
         # (i, i + 1) lies in exactly one block.
@@ -493,8 +502,9 @@ class TestGridBlocks:
             return np.ones(freqs.size, dtype=np.complex128)
 
         filter_spectrum(state, response)
-        assert len(seen) == len(grid_blocks(n))
-        assert np.concatenate(seen).tobytes() == np.fft.fftfreq(n, d=state.grid.spacing).tobytes()
+        # Blocks run on any thread in any order: the blocks seen, as a multiset.
+        freqs = np.fft.fftfreq(n, d=state.grid.spacing)
+        assert sorted(f.tobytes() for f in seen) == sorted(freqs[s].tobytes() for s in grid_blocks(n))
 
     @pytest.mark.parametrize("kick", [13.7, -0.3])
     def test_shift_matches_the_whole_array_reference(self, kick):
@@ -551,3 +561,43 @@ class TestBlockPoints:
             want = slice(0, int(np.searchsorted(p, grid.p_min - kick, side="left")))
         indices = np.arange(n)
         assert np.array_equal(indices[_wrap_band(grid, kick)], indices[want])
+
+
+class TestBlockMap:
+    """block_map on the pool: forced by reporting four usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def pooled(self, monkeypatch):
+        monkeypatch.setattr(pointer, "_cpus", lambda: 4)
+
+    def test_results_come_in_block_order_from_worker_threads(self):
+        blocks = grid_blocks(5 * GRID_BLOCK + 3)
+        got = block_map(lambda s: (s.start, threading.get_ident()), blocks)
+        assert [start for start, _ in got] == [s.start for s in blocks]
+        assert threading.get_ident() not in {ident for _, ident in got}
+
+    def test_one_block_or_one_cpu_runs_inline(self, monkeypatch):
+        here = threading.get_ident()
+        assert block_map(lambda s: threading.get_ident(), grid_blocks(GRID_BLOCK)) == [here]
+        monkeypatch.setattr(pointer, "_cpus", lambda: 1)
+        assert set(block_map(lambda s: threading.get_ident(), grid_blocks(3 * GRID_BLOCK))) == {here}
+
+    def test_caller_errstate_holds_in_the_workers(self):
+        # Without it a worker takes numpy's default, divide="warn", and the
+        # test configuration turns that RuntimeWarning into an error.
+        def log_of_zero(s):
+            return threading.get_ident(), float(np.log(np.zeros(4))[0])
+
+        with np.errstate(divide="ignore"):
+            got = block_map(log_of_zero, grid_blocks(4 * GRID_BLOCK))
+        assert [value for _, value in got] == [-math.inf] * 4
+        assert threading.get_ident() not in {ident for ident, _ in got}
+
+    def test_an_exception_in_a_worker_reaches_the_caller(self):
+        def refuse_second(s):
+            if s.start == GRID_BLOCK:
+                raise GridCoverageError(f"block at {s.start}")
+            return s.start
+
+        with pytest.raises(GridCoverageError, match=f"^block at {GRID_BLOCK}$"):
+            block_map(refuse_second, grid_blocks(4 * GRID_BLOCK))

@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mzkick.pointer
 from mzkick.cli import ScenarioConfig, run_single_photon
 from mzkick.errors import ConstraintViolationError, GridCoverageError, ZeroOverlapError
 from mzkick.photon_modes import (
     CHANNEL_D1,
     CHANNEL_D2,
+    CHANNELS,
     BeamsplitterSpec,
     ModeAmplitudes,
     detector_state,
     intra_state,
 )
-from mzkick.pointer import MomentumGrid, default_grid, gaussian_pointer, overlap, shift
+from mzkick.pointer import GRID_BLOCK, MomentumGrid, PointerState, default_grid, gaussian_pointer, overlap, shift
 from mzkick.weak_measurement import (
+    JointState,
     OpticalSetup,
     couple_with_kick,
     first_order_joint,
@@ -290,6 +293,76 @@ class TestPostselect:
         joint = couple_with_kick(intra_state(bs), pointer, 0.0)
         with pytest.raises(ZeroOverlapError):
             postselect(joint, detector_state(bs, CHANNEL_D2))
+
+
+# Grids of two and three blocks, and one whose last block is short.
+POOLED_SIZES = [GRID_BLOCK + 1, 2 * GRID_BLOCK + 1, 196613]
+
+
+def with_cpus(monkeypatch, cpus: int) -> None:
+    """Make block_map see this many usable CPUs: one runs every block inline,
+    more run a grid of two or more blocks on the pool."""
+    monkeypatch.setattr(mzkick.pointer, "_cpus", lambda: cpus)
+
+
+class TestInlineAndPooled:
+    @pytest.mark.parametrize("n", POOLED_SIZES)
+    def test_every_grid_pass_gives_the_same_bytes(self, monkeypatch, n):
+        grid = MomentumGrid(-120.0, 120.0, n)
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        bs = BeamsplitterSpec(0.8)
+        psi = intra_state(bs)
+
+        def passes() -> list[bytes]:
+            state = gaussian_pointer(grid, SPREAD)
+            joint = couple_with_kick(psi, state, 13.7)
+            expanded = first_order_joint(psi, state, 0.3)
+            results = [postselect(j, detector_state(bs, c)) for j in (joint, expanded) for c in CHANNELS]
+            return [
+                grid.integrate(lambda s, _: y[s]).tobytes(),
+                np.float64(mzkick.pointer._peak_density(y)).tobytes(),
+                state.amplitudes.tobytes(),
+                joint.arm_b.amplitudes.tobytes(),
+                expanded.arm_b.amplitudes.tobytes(),
+                np.array(results).tobytes(),
+            ]
+
+        with_cpus(monkeypatch, 1)
+        inline = passes()
+        with_cpus(monkeypatch, 4)
+        assert passes() == inline
+
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["inline", "pooled"])
+    def test_refusals_keep_their_messages(self, monkeypatch, cpus):
+        with_cpus(monkeypatch, cpus)
+        n = POOLED_SIZES[-1]
+        grid = MomentumGrid(-120.0, 120.0, n)
+        p = np.linspace(grid.p_min, grid.p_max, n)
+        bump = np.exp(-((p / SPREAD) ** 2) / 2.0)
+
+        def conditional(amp_a, amp_b, on_grid=grid, psi=(1.0, 1.0), post=(1.0, -1.0)):
+            joint = JointState(ModeAmplitudes(*psi), PointerState(on_grid, amp_a), PointerState(on_grid, amp_b))
+            return postselect(joint, ModeAmplitudes(*post))
+
+        # Equal arms and a post-selection orthogonal to them.
+        with pytest.raises(ZeroOverlapError, match="post-selection probability .* is numerically zero"):
+            conditional(bump, bump)
+        # The arms differ by a bump a hundredth of theirs, off center, and by
+        # 1e-7 at the lower edge: negligible in each arm, not in the difference.
+        edge = bump + 0.01 * np.exp(-(((p - 40.0) / 5.0) ** 2) / 2.0)
+        edge[0] += 1e-7
+        with pytest.raises(GridCoverageError, match="density at the grid edges exceeds 1e-12 of the peak"):
+            conditional(bump, edge)
+        # A conditional pointer of about 3e-161 on a grid so wide that its
+        # subnormal squares still integrate past the probability check. They
+        # keep a few digits each, so the probability is off by far more than
+        # 1e-8 of the integral of the normalized samples, which keep 15.
+        wide = MomentumGrid(-8e307, 8e307, n)
+        arm = 1.0 + np.random.default_rng(7).uniform(size=n)
+        arm[0] = arm[-1] = 0.0
+        with pytest.raises(ConstraintViolationError, match="pointer state not normalized: integral = "):
+            conditional(arm, arm, on_grid=wide, psi=(3e-161, 0.0), post=(1.0, 0.0))
 
 
 class TestNetKicks:
