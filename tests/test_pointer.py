@@ -4,6 +4,7 @@ import ast
 import math
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -594,10 +595,16 @@ class TestBlockMap:
         assert threading.get_ident() not in {ident for ident, _ in got}
 
     def test_an_exception_in_a_worker_reaches_the_caller(self):
-        def refuse_second(s):
-            if s.start == GRID_BLOCK:
-                raise GridCoverageError(f"block at {s.start}")
+        running = []
+
+        def refuse_first(s):
+            running.append(s.start)
+            if s.start == 0:
+                raise GridCoverageError("first block")
+            time.sleep(0.05)
+            running.remove(s.start)
             return s.start
 
-        with pytest.raises(GridCoverageError, match=f"^block at {GRID_BLOCK}$"):
-            block_map(refuse_second, grid_blocks(4 * GRID_BLOCK))
+        with pytest.raises(GridCoverageError, match="^first block$"):
+            block_map(refuse_first, grid_blocks(4 * GRID_BLOCK))
+        assert running == [0]  # every other block that started has ended
