@@ -27,7 +27,7 @@ import numpy as np
 from .ensemble import POISSON_NBAR_MAX, binary_scaled, expected_kick_report, fluctuation_analysis, sample_runs
 from .errors import ConfigError, ConstraintViolationError, MzkickError
 from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, detector_state, intra_state
-from .pointer import COVERAGE_SPREADS, DEFAULT_GRID_POINTS, MomentumGrid, gaussian_pointer, overlap
+from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_halfwidth, gaussian_pointer, overlap
 from .weak_measurement import (
     OpticalSetup,
     couple_with_kick,
@@ -208,8 +208,8 @@ def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
     and the (probability, mean_kick) of D1 and of D2.
 
     Builds the states and one Gaussian pointer on a grid of half-width grid_halfwidth,
-    or, where that is 0, one sized for the largest |kick| as default_grid sizes it; a
-    half-width whose square is not a normal float is refused, before the grid is built,
+    or, where that is 0, of default_halfwidth for the largest |kick|; a half-width
+    whose square is not a normal float is refused, before the grid is built,
     under grid_halfwidth if it was given, else under kick_field, the input the kicks
     were made from. The weak values come before any grid work, so a forbidden channel
     raises first; the returned iterator couples and post-selects as it is read.
@@ -222,7 +222,7 @@ def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
         field, what = "grid_halfwidth", "the given grid half-width"
     else:
         largest = max(abs(k) for k in kicks)
-        half = largest + COVERAGE_SPREADS * cfg.delta_spread
+        half = default_halfwidth(cfg.delta_spread, largest)
         field, what = kick_field, f"the grid half-width, 8 spreads plus the largest kick {largest},"
     if not _is_normal(half * half):
         raise ConfigError(f"{field}: {what} must square to a normal float (got {half})")

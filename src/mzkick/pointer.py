@@ -19,6 +19,7 @@ import contextvars
 import math
 import operator
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
@@ -51,13 +52,15 @@ def block_map(fn: Callable[[slice], object], blocks: list[slice]) -> list:
     thread pool with one worker per CPU, each in a copy of the caller's
     contextvars context, so a numpy errstate the caller set holds in them;
     otherwise they run inline. fn runs on any thread in any order, so it may
-    write only to its own block, and it must not call block_map itself, whose
-    blocks would wait for the workers it holds. An exception raised in a
-    block reaches the caller as it was raised.
+    write only to its own block. A block_map called from a block, such as an
+    integrate inside an integrate's sample, runs inline on that block's worker:
+    on the pool it would wait for workers that are all waiting in turn. An
+    exception raised in a block reaches the caller as it was raised.
     """
-    if len(blocks) < 2 or _cpus() < 2:
+    if len(blocks) < 2 or _cpus() < 2 or getattr(_worker, "in_pool", False):
         return [fn(s) for s in blocks]
-    futures = [_pool().submit(contextvars.copy_context().run, fn, s) for s in blocks]
+    pool = _pool(_cpus())
+    futures = [pool.submit(contextvars.copy_context().run, fn, s) for s in blocks]
     try:
         return [f.result() for f in futures]
     finally:
@@ -77,13 +80,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Marks the threads of the block pools, on which block_map runs inline.
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.in_pool = True
+
+
 @cache
-def _pool():
+def _pool(workers: int):
+    """The pool of the given number of block workers, built on first use."""
     # Imported on first use (about 8 ms and 0.7 MiB), so a run whose grids are
     # one block never pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="grid-block")
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="grid-block", initializer=_mark_worker)
 
 
 def trapezoid(widths: np.ndarray, y: np.ndarray) -> np.inexact:
@@ -181,10 +193,17 @@ def default_grid(
 ) -> MomentumGrid:
     """Symmetric grid covering a centered Gaussian of the given spread plus the
     largest shift it will undergo."""
+    half = default_halfwidth(delta_spread, max_shift)
+    return MomentumGrid(-half, half, n)
+
+
+def default_halfwidth(delta_spread: float, max_shift: float = 0.0) -> float:
+    """The half-width of a symmetric grid that covers a centered Gaussian of the
+    given spread plus the largest shift it will undergo: COVERAGE_SPREADS
+    spreads past the shift."""
     if delta_spread <= 0.0:
         raise ConstraintViolationError(f"delta_spread must be positive, got {delta_spread}")
-    half = abs(max_shift) + COVERAGE_SPREADS * delta_spread
-    return MomentumGrid(-half, half, n)
+    return abs(max_shift) + COVERAGE_SPREADS * delta_spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +224,8 @@ class PointerState:
     never changes. The hand-over sites are filter_spectrum (the filtered
     spectrum, transformed back in place) and gaussian_pointer (its samples).
     weak_measurement.postselect builds no state: it runs the same checks,
-    check_samples, on the numbers it takes from its conditional pointer.
+    check_samples and check_norm, on the numbers it takes from its conditional
+    pointer.
     """
 
     grid: MomentumGrid
@@ -235,15 +255,14 @@ class PointerState:
         return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
 
     def require_normalized(self) -> None:
-        amp = self.amplitudes
-        check_samples(self.peak, abs(amp[0]), abs(amp[-1]), self.norm_squared())
+        check_norm(self.norm_squared())
 
 
-def check_samples(peak: float, first: float, last: float, norm_squared: float | None = None) -> None:
-    """The checks of a pointer state, on numbers taken from its samples: the
-    peak density is nonzero, the edge magnitudes first = |phi(p_min)| and
-    last = |phi(p_max)| carry less than TAIL_DENSITY_RATIO of it, and the norm,
-    where given, lies within 1e-8 of 1. They raise in that order."""
+def check_samples(peak: float, first: float, last: float) -> None:
+    """The checks every pointer state passes, on numbers taken from its samples:
+    the peak density is nonzero, and the edge magnitudes first = |phi(p_min)|
+    and last = |phi(p_max)| carry less than TAIL_DENSITY_RATIO of it. They
+    raise in that order."""
     if peak == 0.0:
         raise ConstraintViolationError("wavefunction is identically zero")
     # Tail capture: the grid must contain essentially all the density.
@@ -252,7 +271,11 @@ def check_samples(peak: float, first: float, last: float, norm_squared: float | 
             "wavefunction density at the grid edges exceeds "
             f"{TAIL_DENSITY_RATIO} of the peak; widen the grid"
         )
-    if norm_squared is not None and abs(norm_squared - 1.0) > 1e-8:
+
+
+def check_norm(norm_squared: float) -> None:
+    """The check of a normalized pointer state: its norm lies within 1e-8 of 1."""
+    if abs(norm_squared - 1.0) > 1e-8:
         raise ConstraintViolationError(f"pointer state not normalized: integral = {norm_squared!r}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, check_samples, filter_spectrum, peak_of, shift, trapezoid
+from .pointer import PointerState, check_norm, check_samples, filter_spectrum, peak_of, shift, trapezoid
 from .pointer import mean_momentum  # noqa: F401 -- perfbench/traced.py wraps it here by name
 
 # Below this post-selection probability (or amplitude overlap) the conditional
@@ -129,8 +129,8 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     conditional mirror state. The state is never stored: two passes over the
     grid blocks each build it a block at a time, the first for the
     probability, the second, normalized, for its peak, edge samples, norm and
-    first moment, which then pass the checks of a PointerState (check_samples).
-    The probability reading assumes the joint state is normalized
+    first moment, which then pass the checks of a normalized PointerState
+    (check_samples, then check_norm). The probability reading assumes the joint state is normalized
     (couple_with_kick guarantees this; first_order_joint does not).
     """
     grid = joint.arm_a.grid
@@ -171,7 +171,8 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
         return top, first, last, trapezoid(widths, dens), trapezoid(widths, np.multiply(p, dens, out=dens))
 
     tops, firsts, lasts, norms, means = zip(*grid.interval_map(moments))
-    check_samples(peak_of(tops), firsts[0], lasts[-1], float(reduce(operator.add, norms)))
+    check_samples(peak_of(tops), firsts[0], lasts[-1])
+    check_norm(float(reduce(operator.add, norms)))
     return PostselectionResult(probability, float(reduce(operator.add, means)))
 
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mzkick
-from mzkick import cli
+from mzkick import cli, pointer
 from mzkick.cli import (
     ARRAY_LENGTH_MAX,
     EXIT_CONFIG,
@@ -39,6 +39,7 @@ from mzkick.cli import (
     run_single_photon,
 )
 from mzkick.errors import ConfigError
+from mzkick.pointer import GRID_BLOCK, block_map, grid_blocks
 from mzkick.weak_measurement import OpticalSetup
 
 
@@ -201,16 +202,20 @@ class TestSinglePhoton:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "single_photon.json").exists()
 
-    def test_peak_memory_on_a_wide_grid(self):
+    def test_peak_memory_on_a_wide_grid(self, monkeypatch):
         # The pointer and its shifted copy, plus the cached points and widths of
         # the first block and the working arrays of the blocks in flight, about
-        # two block arrays per worker; post-selection never stores the
-        # conditional pointer. At 2**18 points a 2**16-point block is a quarter
-        # of the grid, and the peak is 3.75 complex grid arrays on 2 workers
-        # (5.03 when every pass took whole-grid temporaries). At 2**20 points a
-        # block is a sixteenth of the grid and the peak is 2.44 arrays, against
-        # 3.19 while post-selection stored the conditional pointer: the second
-        # bound pins that it is not stored.
+        # two block arrays (2 MiB) per worker; post-selection never stores the
+        # conditional pointer. The run is pinned to 2 workers, since each more
+        # adds its 2 MiB, and the pool is built, with its import, before the
+        # measurement. At 2**18 points a 2**16-point block is a quarter of the
+        # grid, and the peak is 3.75 complex grid arrays (5.03 when every pass
+        # took whole-grid temporaries). At 2**20 points a block is a sixteenth
+        # of the grid and the peak is 2.44 arrays, against 3.19 while
+        # post-selection stored the conditional pointer: the second bound pins
+        # that it is not stored.
+        monkeypatch.setattr(pointer, "_cpus", lambda: 2)
+        block_map(lambda s: None, grid_blocks(2 * GRID_BLOCK))
         for n, bound in ((2**18, 3.85), (2**20, 2.6)):
             cfg = ScenarioConfig(grid_points=n)
             tracemalloc.start()

@@ -594,6 +594,29 @@ class TestBlockMap:
         assert [value for _, value in got] == [-math.inf] * 4
         assert threading.get_ident() not in {ident for ident, _ in got}
 
+    def test_an_integrate_inside_an_integrate_runs_inline(self, monkeypatch):
+        # The inner passes run on the worker of their outer block: queued on
+        # the pool, they would wait forever once outer blocks held every
+        # worker. Two outer blocks leave two of the four workers free, so a
+        # queued inner pass would run elsewhere instead of hanging the test.
+        inner = MomentumGrid(-1.0, 1.0, 2 * GRID_BLOCK + 1)
+        outer = MomentumGrid(-3.0, 3.0, 2 * GRID_BLOCK + 1)
+        elsewhere = []
+
+        def sample(s, p):
+            here = threading.get_ident()
+
+            def ones(t, q):
+                elsewhere.append(threading.get_ident() != here)
+                return np.ones(q.size)
+
+            return np.full(p.size, inner.integrate(ones))
+
+        pooled = outer.integrate(sample)
+        assert elsewhere == [False] * 4
+        monkeypatch.setattr(pointer, "_cpus", lambda: 1)
+        assert pooled.tobytes() == outer.integrate(sample).tobytes()
+
     def test_an_exception_in_a_worker_reaches_the_caller(self):
         running = []
 
