@@ -39,6 +39,11 @@ COVERAGE_SPREADS = 8.0
 # Samples per block of a grid pass (trapezoid intervals per block in integrate).
 GRID_BLOCK = 2**16
 
+# The indices 0..GRID_BLOCK as floats, read-only: a block's points are made from
+# them, since np.arange(start, stop, dtype=float) fills element by element.
+_BLOCK_INDEX = np.arange(GRID_BLOCK + 1.0)
+_BLOCK_INDEX.flags.writeable = False
+
 
 def grid_blocks(n: int) -> list[slice]:
     """The slices of GRID_BLOCK samples, the last one shorter, that cover n samples in order."""
@@ -148,7 +153,9 @@ class MomentumGrid:
         return p
 
     def _points(self, start: int, stop: int) -> np.ndarray:
-        p = np.arange(start, stop, dtype=np.float64)  # exact integers
+        count = stop - start  # longer than a block only for a whole-grid read
+        index = _BLOCK_INDEX[:count] if count <= _BLOCK_INDEX.size else np.arange(count, dtype=np.float64)
+        p = index + start  # exact integers
         p *= self.spacing
         p += self.p_min
         if stop == self.n:
@@ -201,16 +208,19 @@ def default_halfwidth(delta_spread: float, max_shift: float = 0.0) -> float:
     """The half-width of a symmetric grid that covers a centered Gaussian of the
     given spread plus the largest shift it will undergo: COVERAGE_SPREADS
     spreads past the shift."""
-    if delta_spread <= 0.0:
-        raise ConstraintViolationError(f"delta_spread must be positive, got {delta_spread}")
+    if not 0.0 < delta_spread < math.inf:  # also refuses nan
+        raise ConstraintViolationError(f"delta_spread must be positive and finite, got {delta_spread}")
     return abs(max_shift) + COVERAGE_SPREADS * delta_spread
 
 
 @dataclass(frozen=True, eq=False)
 class PointerState:
-    """Complex wavefunction samples phi(p_k) on a momentum grid.
+    """Wavefunction samples phi(p_k) on a momentum grid.
 
-    Only the amplitudes are stored; a pass that needs the points p_k takes
+    Real samples (bool, integer or float) are stored as float64, any others as
+    complex128: a real state, such as a Gaussian pointer, takes half the memory,
+    and every pass reads x as the complex (x, +0.0) it would have stored. Only
+    the amplitudes are stored; a pass that needs the points p_k takes
     them block by block from grid.block_points.
 
     The amplitudes are read-only. A read-only array that owns its data is
@@ -233,7 +243,8 @@ class PointerState:
     peak: float = field(init=False, repr=False)  # peak density max |phi(p_k)|^2
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        amp = np.asarray(self.amplitudes)
+        amp = np.asarray(amp, dtype=np.float64 if amp.dtype.kind in "biuf" else np.complex128)
         if amp.flags.writeable or not amp.flags.owndata:
             amp = amp.copy()
         if amp.shape != (self.grid.n,):
@@ -262,9 +273,12 @@ def check_samples(peak: float, first: float, last: float) -> None:
     """The checks every pointer state passes, on numbers taken from its samples:
     the peak density is nonzero, and the edge magnitudes first = |phi(p_min)|
     and last = |phi(p_max)| carry less than TAIL_DENSITY_RATIO of it. They
-    raise in that order."""
+    raise in that order. A nan sample makes the peak nan, which is refused
+    before the tail check, whose comparisons it would pass."""
     if peak == 0.0:
         raise ConstraintViolationError("wavefunction is identically zero")
+    if math.isnan(peak):
+        raise ConstraintViolationError("wavefunction has a nan sample")
     # Tail capture: the grid must contain essentially all the density.
     if first**2 >= TAIL_DENSITY_RATIO * peak or last**2 >= TAIL_DENSITY_RATIO * peak:
         raise GridCoverageError(
@@ -274,16 +288,21 @@ def check_samples(peak: float, first: float, last: float) -> None:
 
 
 def check_norm(norm_squared: float) -> None:
-    """The check of a normalized pointer state: its norm lies within 1e-8 of 1."""
-    if abs(norm_squared - 1.0) > 1e-8:
+    """The check of a normalized pointer state: its norm lies within 1e-8 of 1 (a nan norm does not)."""
+    if not abs(norm_squared - 1.0) <= 1e-8:
         raise ConstraintViolationError(f"pointer state not normalized: integral = {norm_squared!r}")
 
 
 def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
     """Normalized samples of exp(-p^2 / (2 spread^2)) centered at p = 0, on a
-    grid that both covers and resolves the Gaussian."""
-    if delta_spread <= 0.0:
-        raise ConstraintViolationError(f"delta_spread must be positive, got {delta_spread}")
+    grid that both covers and resolves the Gaussian.
+
+    The samples are real, so the state holds them as float64. Each is scaled
+    by 1 / sqrt(norm), which is how numpy divides a complex array by a real
+    number: they are, bit for bit, the real parts of complex samples divided
+    by sqrt(norm)."""
+    if not 0.0 < delta_spread < math.inf:  # also refuses nan
+        raise ConstraintViolationError(f"delta_spread must be positive and finite, got {delta_spread}")
     margin = COVERAGE_SPREADS * delta_spread
     if grid.p_min > -margin or grid.p_max < margin:
         raise GridCoverageError(
@@ -299,14 +318,20 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
             f"grid spacing {grid.spacing:.6g} is too coarse for spread {delta_spread} "
             f"(at most {max_spacing:.6g}); raise grid_points"
         )
-    amp = np.empty(grid.n, dtype=np.complex128)
+    amp = np.empty(grid.n)
 
     def fill(s: slice) -> None:
         p = grid.block_points(s)
         amp[s] = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread))
 
     block_map(fill, grid_blocks(grid.n))
-    amp /= math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
+    scale = 1.0 / math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
+
+    def normalise(s: slice) -> None:
+        block = amp[s]
+        block *= scale
+
+    block_map(normalise, grid_blocks(grid.n))
     amp.flags.writeable = False
     return PointerState(grid, amp)
 
@@ -342,14 +367,24 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
 def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.ndarray]) -> PointerState:
     """phi -> ifft(fft(phi) * response(f)), f = fftfreq(n, d=spacing): the one FFT path.
 
-    The spectrum is multiplied in place a block at a time, by response of the
-    block's frequencies, so neither the full factor nor the full frequency
-    array is ever built; the inverse transform works in place too. response
-    must be pure: the blocks run on any thread in any order.
+    The state is copied a block at a time into a complex buffer, and both
+    transforms work on it in place: numpy's fft has complex loops only, so
+    transforming a real state directly would first cast it to a whole-grid
+    complex copy. The spectrum is multiplied in place a block at a time, by
+    response of the block's frequencies, so neither the full factor nor the
+    full frequency array is ever built. response must be pure: the blocks run
+    on any thread in any order.
     """
     grid = state.grid
     n = grid.n
-    spectrum = np.fft.fft(state.amplitudes)
+    amp = state.amplitudes
+    spectrum = np.empty(n, dtype=np.complex128)
+
+    def fill(s: slice) -> None:
+        spectrum[s] = amp[s]
+
+    block_map(fill, grid_blocks(n))
+    np.fft.fft(spectrum, out=spectrum)
     # The bits of np.fft.fftfreq(n, d): the bins k, wrapped to k - n from
     # k = (n + 1) // 2 on, times 1 / (n * d).
     scale = 1.0 / (n * grid.spacing)
@@ -406,8 +441,11 @@ def mean_momentum(state: PointerState) -> float:
 
 
 def overlap(s1: PointerState, s2: PointerState) -> complex:
-    """Inner product <phi1|phi2> of two states on the same grid."""
+    """Inner product <phi1|phi2> of two states on the same grid.
+
+    A real block of phi1 is made complex before it is conjugated, so its
+    conjugate carries the -0.0 imaginary parts of the complex one."""
     if s1.grid != s2.grid:
         raise GridMismatchError(f"grids differ: {s1.grid} vs {s2.grid}")
     a1, a2 = s1.amplitudes, s2.amplitudes
-    return complex(s1.grid.integrate(lambda s, _: np.conj(a1[s]) * a2[s]))
+    return complex(s1.grid.integrate(lambda s, _: np.conj(a1[s].astype(np.complex128, copy=False)) * a2[s]))

@@ -158,7 +158,7 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
         return np.square(m, out=m)
 
     probability = float(grid.integrate(density))
-    if probability < ZERO_OVERLAP_TOL:
+    if not probability >= ZERO_OVERLAP_TOL:  # nan too
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
