@@ -203,20 +203,21 @@ class TestSinglePhoton:
         assert not (tmp_path / "single_photon.json").exists()
 
     def test_peak_memory_on_a_wide_grid(self, monkeypatch):
-        # The pointer and its shifted copy, plus the cached points and widths of
-        # the first block and the working arrays of the blocks in flight, about
-        # two block arrays (2 MiB) per worker; post-selection never stores the
-        # conditional pointer. The run is pinned to 2 workers, since each more
-        # adds its 2 MiB, and the pool is built, with its import, before the
-        # measurement. At 2**18 points a 2**16-point block is a quarter of the
-        # grid, and the peak is 3.75 complex grid arrays (5.03 when every pass
-        # took whole-grid temporaries). At 2**20 points a block is a sixteenth
-        # of the grid and the peak is 2.44 arrays, against 3.19 while
-        # post-selection stored the conditional pointer: the second bound pins
-        # that it is not stored.
+        # The real pointer (half a complex array) and its shifted copy, plus the
+        # cached points and widths of the first block and the working arrays
+        # of the blocks in flight, about two block arrays (2 MiB) per worker;
+        # post-selection never stores the conditional pointer. The run is
+        # pinned to 2 workers, since each more adds its 2 MiB, and the pool is
+        # built, with its import, before the measurement. At 2**18 points a
+        # 2**16-point block is a quarter of the grid, and the peak is 3.29
+        # complex grid arrays (3.79 with a complex pointer, 5.03 when every
+        # pass took whole-grid temporaries). At 2**20 points a block is a
+        # sixteenth of the grid and the peak is 1.94 arrays, against 2.44 with
+        # a complex pointer and 3.19 while post-selection stored the
+        # conditional pointer: each bound is within 0.1 array of its reading.
         monkeypatch.setattr(pointer, "_cpus", lambda: 2)
         block_map(lambda s: None, grid_blocks(2 * GRID_BLOCK))
-        for n, bound in ((2**18, 3.85), (2**20, 2.6)):
+        for n, bound in ((2**18, 3.35), (2**20, 2.0)):
             cfg = ScenarioConfig(grid_points=n)
             tracemalloc.start()
             try:

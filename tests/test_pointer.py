@@ -22,6 +22,7 @@ from mzkick.pointer import (
     PointerState,
     _wrap_band,
     block_map,
+    check_norm,
     default_grid,
     filter_spectrum,
     gaussian_pointer,
@@ -80,7 +81,7 @@ class TestMomentumGrid:
         assert g.p_max == pytest.approx(40.0 + 8.0 * SPREAD)
         assert g.n == 4096
 
-    @pytest.mark.parametrize("spread", [0.0, -1.0])
+    @pytest.mark.parametrize("spread", [0.0, -1.0, math.nan, math.inf])
     def test_default_grid_rejects_non_positive_spread(self, spread):
         with pytest.raises(ConstraintViolationError, match="delta_spread"):
             default_grid(spread)
@@ -133,6 +134,14 @@ class TestGaussianPointer:
         with pytest.raises(ConstraintViolationError):
             gaussian_pointer(grid, 0.0)
 
+    @pytest.mark.parametrize("spread", [-1.0, math.nan, math.inf])
+    def test_rejects_a_spread_that_is_not_positive_and_finite(self, spread):
+        # With a nan spread the state was all nan, with RuntimeWarnings only;
+        # the refusal comes before any of them (the test configuration turns
+        # a RuntimeWarning into an error).
+        with pytest.raises(ConstraintViolationError, match="delta_spread must be positive and finite"):
+            gaussian_pointer(MomentumGrid(-100.0, 100.0, 4096), spread)
+
     def test_state_constructor_enforces_tail_capture(self):
         g = MomentumGrid(-5.0, 5.0, 64)
         amp = np.exp(-np.linspace(-5, 5, 64) ** 2 / 200.0)  # spread 10: tails alive
@@ -146,6 +155,22 @@ class TestGaussianPointer:
     def test_state_constructor_rejects_zero_amplitudes(self, grid):
         with pytest.raises(ConstraintViolationError, match="identically zero"):
             PointerState(grid, np.zeros(grid.n))
+
+    def test_check_norm_refuses_nan(self):
+        with pytest.raises(ConstraintViolationError, match="pointer state not normalized: integral = nan"):
+            check_norm(math.nan)
+
+    @pytest.mark.parametrize(
+        "samples, dtype",
+        [([True, False], np.float64), ([1, 0], np.float64), ([1.0, 0.0], np.float64),
+         (np.array([1.0, 0.0], dtype=np.float32), np.float64), ([1.0 + 0j, 0j], np.complex128),
+         (np.array([1.0, 0.0], dtype=np.complex64), np.complex128)],
+        ids=["bool", "int", "float", "float32", "complex", "complex64"],
+    )
+    def test_state_keeps_real_samples_real(self, grid, samples, dtype):
+        amp = np.zeros(grid.n, dtype=np.asarray(samples).dtype)
+        amp[grid.n // 2 : grid.n // 2 + 2] = samples
+        assert PointerState(grid, amp).amplitudes.dtype == dtype
 
 
 class TestPointerStateIdentity:
@@ -521,6 +546,15 @@ class TestGridBlocks:
         amp[0] = amp[-1] = 0.0
         state = PointerState(MomentumGrid(-1.0, 1.0, MULTI_BLOCK), amp)
         assert state.peak == float(np.max(np.abs(amp) ** 2))
+
+    @pytest.mark.parametrize("where", [None, 1, GRID_BLOCK, MULTI_BLOCK - 2], ids=["all", "1", "block", "last"])
+    def test_a_nan_sample_is_refused_at_any_n(self, where):
+        # A nan peak passed both the zero check and the tail check.
+        grid = MomentumGrid(-120.0, 120.0, MULTI_BLOCK)
+        amp = np.full(MULTI_BLOCK, math.nan) if where is None else gaussian_samples(grid)
+        amp[where or 0] = math.nan
+        with pytest.raises(ConstraintViolationError, match="wavefunction has a nan sample"):
+            PointerState(grid, amp)
 
     def test_moments_at_a_multi_block_grid(self):
         state = gaussian_pointer(MomentumGrid(-120.0, 120.0, MULTI_BLOCK), SPREAD)

@@ -334,6 +334,17 @@ class TestInlineAndPooled:
         assert passes() == inline
 
     @pytest.mark.parametrize("cpus", [1, 4], ids=["inline", "pooled"])
+    def test_a_nan_probability_is_refused(self, monkeypatch, cpus):
+        # A nan fails every comparison, so a check written as p < tol let it
+        # through as (nan, nan). No RuntimeWarning comes first: the test
+        # configuration turns one into an error.
+        with_cpus(monkeypatch, cpus)
+        state = gaussian_pointer(MomentumGrid(-120.0, 120.0, POOLED_SIZES[-1]), SPREAD)
+        joint = couple_with_kick(intra_state(BeamsplitterSpec(0.8)), state, 1.0)
+        with pytest.raises(ZeroOverlapError, match="post-selection probability nan"):
+            postselect(joint, ModeAmplitudes(math.nan, 1.0))
+
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["inline", "pooled"])
     def test_refusals_keep_their_messages(self, monkeypatch, cpus):
         with_cpus(monkeypatch, cpus)
         n = POOLED_SIZES[-1]
@@ -363,6 +374,61 @@ class TestInlineAndPooled:
         arm[0] = arm[-1] = 0.0
         with pytest.raises(ConstraintViolationError, match="pointer state not normalized: integral = "):
             conditional(arm, arm, on_grid=wide, psi=(3e-161, 0.0), post=(1.0, 0.0))
+
+
+def complex_gaussian(grid: MomentumGrid) -> np.ndarray:
+    """The Gaussian pointer's samples made complex and then normalised by a
+    complex divide: the oracle for its float64 samples."""
+    p = np.linspace(grid.p_min, grid.p_max, grid.n)
+    amp = np.exp(-(p * p) / (2.0 * SPREAD * SPREAD)).astype(np.complex128)
+    amp /= math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
+    return amp
+
+
+@pytest.mark.parametrize("cpus", [1, 4], ids=["inline", "pooled"])
+@pytest.mark.parametrize("n", POOLED_SIZES)
+class TestRealPointer:
+    """A real state, held as float64, gives the bytes of its complex128 copy."""
+
+    def test_gaussian_samples_are_the_real_parts_of_the_complex_oracle(self, monkeypatch, cpus, n):
+        with_cpus(monkeypatch, cpus)
+        grid = MomentumGrid(-120.0, 120.0, n)
+        state, oracle = gaussian_pointer(grid, SPREAD), complex_gaussian(grid)
+        assert state.amplitudes.dtype == np.float64
+        assert state.amplitudes.tobytes() == oracle.real.tobytes()
+        assert not oracle.imag.any() and not np.signbit(oracle.imag).any()  # +0.0 everywhere
+
+    def test_every_pass_gives_the_bytes_of_the_complex_copy(self, monkeypatch, cpus, n):
+        with_cpus(monkeypatch, cpus)
+        gauss = gaussian_pointer(MomentumGrid(-120.0, 120.0, n), SPREAD)
+        # Random samples: a real overlap summed as floats, not as the complex
+        # products, would move their last bits.
+        noise = np.random.default_rng(n).standard_normal(n)
+        noise[0] = noise[-1] = 0.0
+        noisy = PointerState(gauss.grid, noise)
+        bs = BeamsplitterSpec(0.8)
+        psi = intra_state(bs)
+
+        def as_complex(state: PointerState) -> PointerState:
+            copy = PointerState(state.grid, state.amplitudes.astype(np.complex128))
+            assert copy.amplitudes.dtype == np.complex128
+            return copy
+
+        def passes(state: PointerState, noisy: PointerState) -> list[bytes]:
+            joint = couple_with_kick(psi, state, 13.7)
+            expanded = first_order_joint(psi, state, 0.3)
+            results = [postselect(j, detector_state(bs, c)) for j in (joint, expanded) for c in CHANNELS]
+            overlaps = [overlap(state, joint.arm_b), overlap(joint.arm_b, state), overlap(noisy, noisy),
+                        overlap(noisy, state)]
+            return [
+                joint.arm_b.amplitudes.tobytes(),
+                expanded.arm_b.amplitudes.tobytes(),
+                np.array(overlaps).tobytes(),
+                np.array(results).tobytes(),
+                np.array([state.norm_squared(), state.peak, noisy.norm_squared(), noisy.peak]).tobytes(),
+            ]
+
+        assert passes(gauss, noisy) == passes(as_complex(gauss), as_complex(noisy))
 
 
 class TestNetKicks:
