@@ -273,12 +273,15 @@ def check_samples(peak: float, first: float, last: float) -> None:
     """The checks every pointer state passes, on numbers taken from its samples:
     the peak density is nonzero, and the edge magnitudes first = |phi(p_min)|
     and last = |phi(p_max)| carry less than TAIL_DENSITY_RATIO of it. They
-    raise in that order. A nan sample makes the peak nan, which is refused
-    before the tail check, whose comparisons it would pass."""
+    raise in that order. A nan sample makes the peak nan, and a sample whose
+    square overflows makes it inf; both are refused before the tail check,
+    whose comparisons a nan peak would pass and an inf one could not judge."""
     if peak == 0.0:
         raise ConstraintViolationError("wavefunction is identically zero")
     if math.isnan(peak):
         raise ConstraintViolationError("wavefunction has a nan sample")
+    if peak == math.inf:
+        raise ConstraintViolationError("wavefunction peak density overflows to inf")
     # Tail capture: the grid must contain essentially all the density.
     if first**2 >= TAIL_DENSITY_RATIO * peak or last**2 >= TAIL_DENSITY_RATIO * peak:
         raise GridCoverageError(

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import ctypes
 import errno
 import importlib
 import io
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mzkick
 from mzkick import cli, pointer
+from mzkick.__main__ import run
 from mzkick.cli import (
     ARRAY_LENGTH_MAX,
     EXIT_CONFIG,
@@ -832,6 +834,35 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+class NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def no_libc(name):
+    raise OSError("no libc")
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """An in-process `run` that leaves this process alone: ctypes finds a
+    stand-in libc whose mallopt records its arguments, and `os.environ` is a
+    copy without OPENBLAS_NUM_THREADS."""
+    calls = []
+
+    class StandInLibc:
+        def __init__(self, name):
+            assert name is None
+
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", StandInLibc)
+    monkeypatch.setattr(os, "environ", {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"})
+    return calls
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         proc = subprocess.run(
@@ -842,6 +873,52 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_run_keeps_freed_memory(self, mallopt_calls, tmp_path, capsys):
+        assert run(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
+        assert mallopt_calls == [(-4, 0), (-1, 2**30)]  # M_MMAP_MAX, M_TRIM_THRESHOLD
+        assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("libc", [no_libc, NoMallopt], ids=["no-libc", "no-symbol"])
+    def test_run_without_mallopt_still_runs(self, mallopt_calls, monkeypatch, tmp_path, capsys, libc):
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        assert run(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
+        assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")], ids=["absent", "set"])
+    def test_run_defaults_blas_threads_to_one(self, mallopt_calls, tmp_path, capsys, given, want):
+        if given is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = given
+        assert run(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
+        assert os.environ["OPENBLAS_NUM_THREADS"] == want
+
+    @pytest.mark.parametrize("entry, sets_policy", [("mzkick.cli:main", False), ("mzkick.__main__:run", True)])
+    def test_only_the_command_sets_the_process_policy(self, tmp_path, entry, sets_policy):
+        # A fresh interpreter, so that the import itself is watched too: the
+        # audit hook sees every symbol ctypes looks up.
+        module, _, name = entry.partition(":")
+        code = "\n".join([
+            "import importlib, os, sys",
+            "symbols = []",
+            "sys.addaudithook(lambda event, args: event == 'ctypes.dlsym' and symbols.append(args[1]))",
+            f"rc = getattr(importlib.import_module({module!r}), {name!r})(sys.argv[1:])",
+            "print(rc, 'mallopt' in symbols, os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)",
+        ])
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code, "compare-classical", "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.stderr.split() == ["0", str(sets_policy), "1" if sets_policy else "None"]
+
+    def test_unallocatable_size_exits_one(self, tmp_path):
+        # With mmap off, glibc falls back to it once brk cannot grow the heap.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzkick", "single-photon", "--grid-points", str(10**15),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_console_script_target(self, tmp_path, capsys):
         tomllib = pytest.importorskip("tomllib")

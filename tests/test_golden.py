@@ -2,9 +2,11 @@
 
 Each case runs `mzkick.cli.main` in-process at a fixed config and seed and
 hashes every file written to `--out` plus the captured stdout, so any change
-to a single byte of any report fails here. The digests were captured with
-numpy 2.4.6; FFT and RNG output may differ in the last bits under another
-numpy, which is why a mismatch names the numpy version.
+to a single byte of any report fails here. One case per subcommand also runs
+through `python -m mzkick`, whose process policies must move no byte. The
+digests were captured with numpy 2.4.6; FFT and RNG output may differ in the
+last bits under another numpy, which is why a mismatch names the numpy
+version.
 """
 
 import hashlib
@@ -156,13 +158,24 @@ MULTI_BLOCK_DIGESTS = {
 }
 
 
-def run_digests(argv, out_dir, capsys) -> dict[str, str]:
-    """Run one CLI invocation; return the SHA-256 of stdout and of each output file."""
-    assert main([*argv, "--out", str(out_dir)]) == EXIT_OK
-    digests = {"<stdout>": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+def output_digests(stdout: bytes, out_dir) -> dict[str, str]:
+    """The SHA-256 of stdout and of each output file."""
+    digests = {"<stdout>": hashlib.sha256(stdout).hexdigest()}
     for path in sorted(out_dir.iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+def run_digests(argv, out_dir, capsys) -> dict[str, str]:
+    """Run one CLI invocation in this process and digest its outputs."""
+    assert main([*argv, "--out", str(out_dir)]) == EXIT_OK
+    return output_digests(capsys.readouterr().out.encode(), out_dir)
+
+
+def child_env() -> dict:
+    """The environment for a `python -m mzkick` child that imports this mzkick."""
+    src = str(Path(mzkick.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -176,6 +189,18 @@ def test_outputs_match_golden_digests(tmp_path, capsys, config, command):
             f"{config}/{command}: {name} changed (digests captured with numpy 2.4.6, "
             f"running numpy {np.__version__})"
         )
+
+
+@pytest.mark.parametrize("command", ["compare-classical", "decoherence", "ensemble", "single-photon"])
+def test_python_dash_m_matches_golden_digests(tmp_path, command):
+    # The command sets process policies that an in-process main does not
+    # (see mzkick.__main__); none of them may move a byte.
+    proc = subprocess.run([sys.executable, "-m", "mzkick", *COMMANDS[command], "--out", str(tmp_path)],
+                          env=child_env(), check=True, capture_output=True)
+    assert output_digests(proc.stdout, tmp_path) == DIGESTS["defaults", command], (
+        f"python -m mzkick {command} changed (digests captured with numpy 2.4.6, "
+        f"running numpy {np.__version__})"
+    )
 
 
 @pytest.mark.parametrize("fmt", sorted(MANY_GROUPS_DIGESTS))
@@ -199,12 +224,10 @@ def test_multi_block_grids_match_golden_digests(tmp_path, capsys, case):
 def test_summary_does_not_depend_on_blas_threads(tmp_path):
     # A BLAS dot product over more than 10,000 elements splits across threads,
     # which changes its last bits; the statistics must not use one.
-    src = str(Path(mzkick.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     summaries = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-m", "mzkick", *MANY_GROUPS, "--out", str(out)],
                        env=env, check=True, capture_output=True)
         summaries.append((out / "ensemble_summary.json").read_bytes())

@@ -556,6 +556,13 @@ class TestGridBlocks:
         with pytest.raises(ConstraintViolationError, match="wavefunction has a nan sample"):
             PointerState(grid, amp)
 
+    def test_a_sample_whose_square_overflows_is_refused(self):
+        # The peak was inf, the tail check passed, and the norm overflowed.
+        amp = np.full(64, 1e150)
+        amp[32] = 1e200
+        with pytest.raises(ConstraintViolationError, match="peak density overflows to inf"):
+            PointerState(MomentumGrid(-1.0, 1.0, 64), amp)
+
     def test_moments_at_a_multi_block_grid(self):
         state = gaussian_pointer(MomentumGrid(-120.0, 120.0, MULTI_BLOCK), SPREAD)
         moved = shift(state, 13.7)
