@@ -11,7 +11,7 @@ hands the arguments to `cli.main`.
   threshold, so raising it is not enough) and no trim below 1 GiB, the
   second transform and every later grid pass reuse pages already mapped.
   A `single-photon` run at 2^22 points then takes about 41k minor faults
-  instead of 108k-158k and half the system time, for about 1% more peak RSS.
+  instead of 96k-141k and half the system time, for about 1% more peak RSS.
   Where no `mallopt` symbol is found, the allocator keeps its defaults.
 - **No idle BLAS pool.** mzkick makes no BLAS call, so OpenBLAS gets one
   thread unless `OPENBLAS_NUM_THREADS` is already set; its idle workers
