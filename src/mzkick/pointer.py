@@ -39,11 +39,6 @@ COVERAGE_SPREADS = 8.0
 # Samples per block of a grid pass (trapezoid intervals per block in integrate).
 GRID_BLOCK = 2**16
 
-# The indices 0..GRID_BLOCK as floats, read-only: a block's points are made from
-# them, since np.arange(start, stop, dtype=float) fills element by element.
-_BLOCK_INDEX = np.arange(GRID_BLOCK + 1.0)
-_BLOCK_INDEX.flags.writeable = False
-
 
 def grid_blocks(n: int) -> list[slice]:
     """The slices of GRID_BLOCK samples, the last one shorter, that cover n samples in order."""
@@ -153,9 +148,7 @@ class MomentumGrid:
         return p
 
     def _points(self, start: int, stop: int) -> np.ndarray:
-        count = stop - start  # longer than a block only for a whole-grid read
-        index = _BLOCK_INDEX[:count] if count <= _BLOCK_INDEX.size else np.arange(count, dtype=np.float64)
-        p = index + start  # exact integers
+        p = np.arange(start, stop, dtype=np.float64)  # exact integers
         p *= self.spacing
         p += self.p_min
         if stop == self.n:
@@ -233,9 +226,8 @@ class PointerState:
     not set it writeable again, because the cached peak and norm assume it
     never changes. The hand-over sites are filter_spectrum (the filtered
     spectrum, transformed back in place) and gaussian_pointer (its samples).
-    weak_measurement.postselect builds no state: it runs the same checks,
-    check_samples and check_norm, on the numbers it takes from its conditional
-    pointer.
+    normalized_mean runs check_samples and check_norm on the conditional
+    pointer of weak_measurement.postselect, which builds no state.
     """
 
     grid: MomentumGrid
@@ -263,7 +255,8 @@ class PointerState:
     @cached_property
     def _norm_squared(self) -> float:
         amp = self.amplitudes
-        return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
+        with np.errstate(over="ignore"):  # a density that sums past the largest float is inf
+            return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
 
     def require_normalized(self) -> None:
         check_norm(self.norm_squared())
@@ -304,9 +297,7 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
     by 1 / sqrt(norm), which is how numpy divides a complex array by a real
     number: they are, bit for bit, the real parts of complex samples divided
     by sqrt(norm)."""
-    if not 0.0 < delta_spread < math.inf:  # also refuses nan
-        raise ConstraintViolationError(f"delta_spread must be positive and finite, got {delta_spread}")
-    margin = COVERAGE_SPREADS * delta_spread
+    margin = default_halfwidth(delta_spread)
     if grid.p_min > -margin or grid.p_max < margin:
         raise GridCoverageError(
             f"grid [{grid.p_min}, {grid.p_max}] must extend at least +-{margin} "
@@ -329,12 +320,7 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
 
     block_map(fill, grid_blocks(grid.n))
     scale = 1.0 / math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
-
-    def normalise(s: slice) -> None:
-        block = amp[s]
-        block *= scale
-
-    block_map(normalise, grid_blocks(grid.n))
+    block_map(lambda s: np.multiply(amp[s], scale, out=amp[s]), grid_blocks(grid.n))
     amp.flags.writeable = False
     return PointerState(grid, amp)
 
@@ -382,11 +368,7 @@ def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.nda
     n = grid.n
     amp = state.amplitudes
     spectrum = np.empty(n, dtype=np.complex128)
-
-    def fill(s: slice) -> None:
-        spectrum[s] = amp[s]
-
-    block_map(fill, grid_blocks(n))
+    block_map(lambda s: np.copyto(spectrum[s], amp[s]), grid_blocks(n))
     np.fft.fft(spectrum, out=spectrum)
     # The bits of np.fft.fftfreq(n, d): the bins k, wrapped to k - n from
     # k = (n + 1) // 2 on, times 1 / (n * d).
@@ -436,11 +418,31 @@ def peak_of(maxima: list) -> float:
     return top * top
 
 
+def normalized_mean(grid: MomentumGrid, magnitude: Callable[[slice], np.ndarray]) -> float:
+    """First moment of the density m**2 of a normalized pointer, where
+    magnitude(s) gives m = |phi| on integration block s as a fresh array (the
+    pass squares it in place); magnitude must be pure. One interval_map pass
+    takes each block's max of m, its edge samples and the trapezoid sums of
+    m**2 and p * m**2, which pass check_samples, then check_norm. Overflow and
+    invalid operations raise no warning: a norm they make inf or nan fails check_norm."""
+
+    def moments(s: slice, p: np.ndarray, widths: np.ndarray) -> tuple:
+        m = magnitude(s)
+        top, first, last = m.max(), m[0], m[-1]
+        dens = np.square(m, out=m)
+        return top, first, last, trapezoid(widths, dens), trapezoid(widths, np.multiply(p, dens, out=dens))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        tops, firsts, lasts, norms, means = zip(*grid.interval_map(moments))
+    check_samples(peak_of(tops), firsts[0], lasts[-1])
+    check_norm(float(reduce(operator.add, norms)))
+    return float(reduce(operator.add, means))
+
+
 def mean_momentum(state: PointerState) -> float:
     """First moment of the momentum density of a normalized state."""
-    state.require_normalized()
     amp = state.amplitudes
-    return float(state.grid.integrate(lambda s, p: p * (np.abs(amp[s]) ** 2)))
+    return normalized_mean(state.grid, lambda s: np.abs(amp[s]))
 
 
 def overlap(s1: PointerState, s2: PointerState) -> complex:

@@ -12,16 +12,14 @@ which exactly cancels their inside kick.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, check_norm, check_samples, filter_spectrum, peak_of, shift, trapezoid
+from .pointer import PointerState, filter_spectrum, normalized_mean, shift
 from .pointer import mean_momentum  # noqa: F401 -- perfbench/traced.py wraps it here by name
 
 # Below this post-selection probability (or amplitude overlap) the conditional
@@ -127,10 +125,11 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
 
     Returns the channel probability and the mean momentum of the normalized
     conditional mirror state. The state is never stored: two passes over the
-    grid blocks each build it a block at a time, the first for the
-    probability, the second, normalized, for its peak, edge samples, norm and
-    first moment, which then pass the checks of a normalized PointerState
-    (check_samples, then check_norm). The probability reading assumes the joint state is normalized
+    grid blocks each build it a block at a time, the first to integrate its
+    density into the probability, the second, normalized, through
+    pointer.normalized_mean, which checks it as a normalized PointerState
+    (check_samples, then check_norm) and takes its first moment. The
+    probability reading assumes the joint state is normalized
     (couple_with_kick guarantees this; first_order_joint does not).
     """
     grid = joint.arm_a.grid
@@ -138,42 +137,24 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
     a, b = joint.psi.a, joint.psi.b
     amp_a, amp_b = joint.arm_a.amplitudes, joint.arm_b.amplitudes
 
-    def magnitude(s: slice, norm: float | None) -> np.ndarray:
-        """|ca*(a*phi_a) + cb*(b*phi_b)|, divided by norm if given, on block s.
-        In place in two block arrays, with the operands in the order of the
-        whole-grid expression, so the bits are its bits (complex products may
-        fuse multiply-adds)."""
+    def amplitude(s: slice) -> np.ndarray:
+        """ca*(a*phi_a) + cb*(b*phi_b) on block s, in place in two block arrays
+        with the operands in the order of that expression, so the bits are its
+        bits (complex products may fuse multiply-adds). Not written as the
+        expression: numpy runs ca * x on a large temporary x as x *= ca."""
         c = np.multiply(a, amp_a[s])
         np.multiply(ca, c, out=c)
         d = np.multiply(b, amp_b[s])
         np.multiply(cb, d, out=d)
-        np.add(c, d, out=c)
-        del d
-        if norm is not None:
-            np.true_divide(c, norm, out=c)
-        return np.abs(c)
+        return np.add(c, d, out=c)
 
-    def density(s: slice, _) -> np.ndarray:
-        m = magnitude(s, None)
-        return np.square(m, out=m)
-
-    probability = float(grid.integrate(density))
+    probability = float(grid.integrate(lambda s, _: np.abs(amplitude(s)) ** 2))
     if not probability >= ZERO_OVERLAP_TOL:  # nan too
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
     norm = math.sqrt(probability)
-
-    def moments(s: slice, p: np.ndarray, widths: np.ndarray) -> tuple:
-        m = magnitude(s, norm)
-        top, first, last = m.max(), m[0], m[-1]
-        dens = np.square(m, out=m)
-        return top, first, last, trapezoid(widths, dens), trapezoid(widths, np.multiply(p, dens, out=dens))
-
-    tops, firsts, lasts, norms, means = zip(*grid.interval_map(moments))
-    check_samples(peak_of(tops), firsts[0], lasts[-1])
-    check_norm(float(reduce(operator.add, norms)))
-    return PostselectionResult(probability, float(reduce(operator.add, means)))
+    return PostselectionResult(probability, normalized_mean(grid, lambda s: np.abs(amplitude(s) / norm)))
 
 
 def net_kick_d1(setup: OpticalSetup) -> float:

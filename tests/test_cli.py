@@ -915,7 +915,7 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_console_script_target(self, tmp_path, capsys):
+    def test_console_script_target(self, mallopt_calls, tmp_path, capsys):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as f:
@@ -923,6 +923,7 @@ class TestModuleEntryPoint:
         module, _, name = target.partition(":")
         entry = getattr(importlib.import_module(module), name)
         assert entry(["compare-classical", "--out", str(tmp_path)]) == EXIT_OK
+        assert mallopt_calls == [(-4, 0), (-1, 2**30)]  # M_MMAP_MAX, M_TRIM_THRESHOLD
         assert strict_loads(capsys.readouterr().out)["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -563,6 +563,26 @@ class TestGridBlocks:
         with pytest.raises(ConstraintViolationError, match="peak density overflows to inf"):
             PointerState(MomentumGrid(-1.0, 1.0, 64), amp)
 
+    def test_a_density_whose_sum_overflows_is_not_normalized(self):
+        # The peak, 1.69e308, is finite; the trapezoid sums overflow to inf, and
+        # the first moment's to inf - inf, with RuntimeWarnings only.
+        amp = np.zeros(64)
+        amp[8:56] = 1.3e154
+        state = PointerState(MomentumGrid(-1.0, 1.0, 64), amp)
+        assert state.norm_squared() == math.inf
+        for check in (state.require_normalized, lambda: mean_momentum(state)):
+            with pytest.raises(ConstraintViolationError, match="pointer state not normalized: integral = inf"):
+                check()
+
+    @pytest.mark.parametrize("n", [4096, 196613])
+    @pytest.mark.parametrize("kick", [0.0, 13.7, -0.3])
+    def test_mean_momentum_keeps_the_bits_of_the_first_moment_integral(self, n, kick):
+        grid = MomentumGrid(-120.0, 120.0, n)
+        state = shift(gaussian_pointer(grid, SPREAD), kick)
+        amp = state.amplitudes
+        want = float(grid.integrate(lambda s, p: p * np.abs(amp[s]) ** 2))
+        assert np.float64(mean_momentum(state)).tobytes() == np.float64(want).tobytes()
+
     def test_moments_at_a_multi_block_grid(self):
         state = gaussian_pointer(MomentumGrid(-120.0, 120.0, MULTI_BLOCK), SPREAD)
         moved = shift(state, 13.7)

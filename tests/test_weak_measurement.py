@@ -19,7 +19,16 @@ from mzkick.photon_modes import (
     detector_state,
     intra_state,
 )
-from mzkick.pointer import GRID_BLOCK, MomentumGrid, PointerState, default_grid, gaussian_pointer, overlap, shift
+from mzkick.pointer import (
+    GRID_BLOCK,
+    MomentumGrid,
+    PointerState,
+    default_grid,
+    gaussian_pointer,
+    mean_momentum,
+    overlap,
+    shift,
+)
 from mzkick.weak_measurement import (
     JointState,
     OpticalSetup,
@@ -287,6 +296,33 @@ class TestPostselect:
             total = r1.probability * r1.mean_kick + r2.probability * r2.mean_kick
             assert total == pytest.approx(0.25 * delta, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_complex_coefficients_keep_the_bits_of_the_whole_grid_expression(self, seed):
+        # One block of GRID_BLOCK + 1 samples, large enough that numpy would
+        # run c * x on a temporary x as x *= c, and coefficients whose real and
+        # imaginary parts are both nonzero, so the operand order of each
+        # complex product can move its bits. A moved bit reaches the two
+        # results for about one pair of arms in four.
+        n = GRID_BLOCK + 1
+        grid = MomentumGrid(-120.0, 120.0, n)
+        p = np.linspace(grid.p_min, grid.p_max, n)
+        rng = np.random.default_rng(seed)
+
+        def arm() -> np.ndarray:
+            amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(-((p / SPREAD) ** 2))
+            amp[0] = amp[-1] = 0.0
+            return amp / math.sqrt(np.trapezoid(np.abs(amp) ** 2, p))
+
+        amp_a, amp_b = arm(), arm()
+        psi, post = ModeAmplitudes(0.3 - 0.4j, 0.8 + 0.33j), ModeAmplitudes(0.6 + 0.123456789j, -0.0123 + 0.8j)
+        ca, cb = post.a.conjugate(), post.b.conjugate()
+        c = np.add(np.multiply(ca, np.multiply(psi.a, amp_a)), np.multiply(cb, np.multiply(psi.b, amp_b)))
+        probability = float(np.trapezoid(np.abs(c) ** 2, p))
+        m = np.abs(c / math.sqrt(probability))
+        want = (probability, float(np.trapezoid(p * m**2, p)))
+        got = postselect(JointState(psi, PointerState(grid, amp_a), PointerState(grid, amp_b)), post)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_forbidden_outcome_raises(self, pointer):
         # balanced splitter at zero kick: the D2 projection vanishes identically
         bs = BeamsplitterSpec(0.5)
@@ -326,6 +362,7 @@ class TestInlineAndPooled:
                 joint.arm_b.amplitudes.tobytes(),
                 expanded.arm_b.amplitudes.tobytes(),
                 np.array(results).tobytes(),
+                np.array([mean_momentum(state), mean_momentum(joint.arm_b)]).tobytes(),
             ]
 
         with_cpus(monkeypatch, 1)
@@ -426,6 +463,7 @@ class TestRealPointer:
                 np.array(overlaps).tobytes(),
                 np.array(results).tobytes(),
                 np.array([state.norm_squared(), state.peak, noisy.norm_squared(), noisy.peak]).tobytes(),
+                np.array([mean_momentum(state), mean_momentum(joint.arm_b)]).tobytes(),
             ]
 
         assert passes(gauss, noisy) == passes(as_complex(gauss), as_complex(noisy))
