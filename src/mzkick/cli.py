@@ -342,7 +342,9 @@ def run_compare_classical(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
 # Subcommand name -> (help text, runner), in the order --help lists them. Every
 # runner returns its report, its {file stem: {name: column}} tables, and the name
 # of the file that holds the report, or None where none does. The runners are the
-# ones defined here, so every library call goes through its import site in this module.
+# ones defined here, so every library call goes through its import site in this module:
+# perfbench/traced.py wraps library functions where this module imports them, so a
+# helper that called them from another module would drop their per-layer spans.
 COMMANDS = {
     "single-photon": ("weak values, channel probabilities, and per-channel kicks", run_single_photon),
     "ensemble": ("Monte-Carlo photon counting against the expected totals", run_ensemble),

@@ -176,25 +176,16 @@ class MomentumGrid:
         last = self.n - 1
         return block_map(run, [slice(a, min(a + GRID_BLOCK, last) + 1) for a in range(0, last, GRID_BLOCK)])
 
-    def integrate(self, sample: Callable[[slice, np.ndarray], np.ndarray]) -> np.inexact:
+    def integrate(self, sample: Callable[[slice], np.ndarray]) -> np.inexact:
         """Trapezoidal integral over the grid of the samples y, read as
-        y[s] = sample(s, p[s]), where p[s] are the block's points.
+        y[s] = sample(s) on each integration block s.
 
         The sums of the interval_map blocks are added in order. A grid of up to
         GRID_BLOCK + 1 points is one block: the same expression, and so the
         same bits, as np.trapezoid(y, np.linspace(p_min, p_max, n)). sample
         must be pure: the blocks run on any thread in any order.
         """
-        return reduce(operator.add, self.interval_map(lambda s, p, widths: trapezoid(widths, sample(s, p))))
-
-
-def default_grid(
-    delta_spread: float, max_shift: float = 0.0, n: int = DEFAULT_GRID_POINTS
-) -> MomentumGrid:
-    """Symmetric grid covering a centered Gaussian of the given spread plus the
-    largest shift it will undergo."""
-    half = default_halfwidth(delta_spread, max_shift)
-    return MomentumGrid(-half, half, n)
+        return reduce(operator.add, self.interval_map(lambda s, _, widths: trapezoid(widths, sample(s))))
 
 
 def default_halfwidth(delta_spread: float, max_shift: float = 0.0) -> float:
@@ -256,7 +247,7 @@ class PointerState:
     def _norm_squared(self) -> float:
         amp = self.amplitudes
         with np.errstate(over="ignore"):  # a density that sums past the largest float is inf
-            return float(self.grid.integrate(lambda s, _: np.abs(amp[s]) ** 2))
+            return float(self.grid.integrate(lambda s: np.abs(amp[s]) ** 2))
 
     def require_normalized(self) -> None:
         check_norm(self.norm_squared())
@@ -319,7 +310,7 @@ def gaussian_pointer(grid: MomentumGrid, delta_spread: float) -> PointerState:
         amp[s] = np.exp(-(p * p) / (2.0 * delta_spread * delta_spread))
 
     block_map(fill, grid_blocks(grid.n))
-    scale = 1.0 / math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
+    scale = 1.0 / math.sqrt(float(grid.integrate(lambda s: np.abs(amp[s]) ** 2)))
     block_map(lambda s: np.multiply(amp[s], scale, out=amp[s]), grid_blocks(grid.n))
     amp.flags.writeable = False
     return PointerState(grid, amp)
@@ -453,4 +444,4 @@ def overlap(s1: PointerState, s2: PointerState) -> complex:
     if s1.grid != s2.grid:
         raise GridMismatchError(f"grids differ: {s1.grid} vs {s2.grid}")
     a1, a2 = s1.amplitudes, s2.amplitudes
-    return complex(s1.grid.integrate(lambda s, _: np.conj(a1[s].astype(np.complex128, copy=False)) * a2[s]))
+    return complex(s1.grid.integrate(lambda s: np.conj(a1[s].astype(np.complex128, copy=False)) * a2[s]))

@@ -148,7 +148,7 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
         np.multiply(cb, d, out=d)
         return np.add(c, d, out=c)
 
-    probability = float(grid.integrate(lambda s, _: np.abs(amplitude(s)) ** 2))
+    probability = float(grid.integrate(lambda s: np.abs(amplitude(s)) ** 2))
     if not probability >= ZERO_OVERLAP_TOL:  # nan too
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"

@@ -19,9 +19,8 @@ from mzkick.photon_modes import (
     detector_state,
     intra_state,
 )
-from mzkick.pointer import default_grid, gaussian_pointer, overlap, shift
+from mzkick.pointer import gaussian_pointer, overlap, shift
 from mzkick.weak_measurement import (
-    OpticalSetup,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
@@ -29,6 +28,7 @@ from mzkick.weak_measurement import (
     postselect,
     weak_value_PB,
 )
+from oracles import d2_mean_kick, kicked_grid, make_setup, visibility
 
 R2_SWEEP = [0.51 + 0.04 * k for k in range(13)]  # 0.51, 0.55, ..., 0.99
 ALPHA_SWEEP_DEG = [10, 20, 30, 40, 50, 60, 70, 80]
@@ -41,21 +41,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def make_setup(r_squared=0.75, omega=1.0, alpha_deg=60.0, nbar=0.0):
-    return OpticalSetup(
-        bs=BeamsplitterSpec(r_squared),
-        omega=omega,
-        alpha=math.radians(alpha_deg),
-        nbar=nbar,
-    )
-
-
-def d2_mean_kick_oracle(r_squared: float, delta: float, spread: float) -> float:
-    r2, t2 = r_squared, 1.0 - r_squared
-    v = math.exp(-(delta**2) / (4.0 * spread**2))
-    return delta * (t2**2 - r2 * t2 * v) / (r2**2 + t2**2 - 2.0 * r2 * t2 * v)
 
 
 def test_criterion_1_weak_value_d1():
@@ -83,7 +68,7 @@ def test_criterion_2_weak_value_d2():
 def test_criterion_3_d1_cancellation():
     worst = 0.0
     for alpha_deg in ALPHA_SWEEP_DEG:
-        worst = max(worst, abs(net_kick_d1(make_setup(alpha_deg=alpha_deg))))
+        worst = max(worst, abs(net_kick_d1(make_setup(alpha=math.radians(alpha_deg)))))
     report(3, "net D1 kick = 0", worst < 1e-12, f"max |kick| = {worst:.2e}, tol 1e-12")
 
 
@@ -91,7 +76,7 @@ def test_criterion_4_classical_correspondence():
     worst = 0.0
     for r_squared in R2_SWEEP:
         for alpha_deg in ALPHA_SWEEP_DEG:
-            setup = make_setup(r_squared, alpha_deg=alpha_deg, nbar=100.0)
+            setup = make_setup(r_squared, alpha=math.radians(alpha_deg), nbar=100.0)
             rep = expected_kick_report(setup)
             classical = classical_mirror_momentum(
                 setup.nbar * setup.hbar * setup.omega, setup.bs, setup.alpha
@@ -115,14 +100,14 @@ def test_criterion_5_exact_vs_weak_convergence():
     devs = {}
     for ratio, bound in bounds.items():
         delta = ratio * SPREAD
-        pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+        pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
         exact = postselect(couple_with_kick(psi, pointer, delta), phi2).mean_kick
         weak = -0.5 * delta
         devs[ratio] = abs((exact - weak) / weak)
     setup = make_setup()  # delta = 1, spread = 10
-    pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
+    pointer = gaussian_pointer(kicked_grid(SPREAD, setup.delta_kick), SPREAD)
     at_unit = postselect(couple_with_kick(psi, pointer, setup.delta_kick), phi2).mean_kick
-    oracle = d2_mean_kick_oracle(0.75, setup.delta_kick, SPREAD)  # -0.49626865865015585
+    oracle = d2_mean_kick(0.75, setup.delta_kick, SPREAD)  # -0.49626865865015585
     elapsed = time.perf_counter() - t0
     ok = (
         all(devs[r] < b for r, b in bounds.items())
@@ -142,7 +127,7 @@ def test_criterion_6_momentum_bookkeeping():
     worst = 0.0
     for ratio in (0.01, 0.1, 1.0, 4.0):
         delta = ratio * SPREAD
-        pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+        pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
         joint = couple_with_kick(psi, pointer, delta)
         r1 = postselect(joint, phi1)
         r2 = postselect(joint, phi2)
@@ -160,7 +145,7 @@ def test_criterion_7_probability_completeness():
     for spread in (5.0, 10.0, 40.0):
         for ratio in (0.01, 0.1, 1.0, 4.0, 5.0):
             delta = ratio * spread
-            pointer = gaussian_pointer(default_grid(spread, delta), spread)
+            pointer = gaussian_pointer(kicked_grid(spread, delta), spread)
             joint = couple_with_kick(psi, pointer, delta)
             total = postselect(joint, phi1).probability + postselect(joint, phi2).probability
             worst = max(worst, abs(total - 1.0))
@@ -172,7 +157,7 @@ def test_criterion_8_decoherence_curve():
     psi = intra_state(bs)
     phi1 = detector_state(bs, CHANNEL_D1)
     ratios = np.linspace(0.0, 5.0, 21)
-    grid = default_grid(SPREAD, ratios.max() * SPREAD)
+    grid = kicked_grid(SPREAD, ratios.max() * SPREAD)
     pointer = gaussian_pointer(grid, SPREAD)
     # independent oracle: analytic integrand, trapezoid at 4x grid density
     fine = np.linspace(grid.p_min, grid.p_max, 4 * grid.n)
@@ -182,7 +167,7 @@ def test_criterion_8_decoherence_curve():
     for ratio in ratios:
         delta = ratio * SPREAD
         vis = abs(overlap(pointer, shift(pointer, delta)))
-        closed = math.exp(-(delta**2) / (4.0 * SPREAD**2))
+        closed = visibility(delta, SPREAD)
         f1 = np.exp(-((fine - delta) ** 2) / (2.0 * SPREAD**2))
         f1 /= math.sqrt(np.trapezoid(f1**2, fine))
         quadrature = float(np.trapezoid(f0 * f1, fine))
@@ -242,7 +227,7 @@ def test_criterion_11_first_order_validity_window():
 
     def rel_err(ratio: float) -> float:
         setup = make_setup(omega=10.0 * ratio)  # delta = ratio * SPREAD
-        pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
+        pointer = gaussian_pointer(kicked_grid(SPREAD, setup.delta_kick), SPREAD)
         exact = couple_with_kick(psi, pointer, setup.delta_kick)
         approx = first_order_joint(psi, pointer, setup.delta_kick)
         exact_a, exact_b = psi.a * exact.arm_a.amplitudes, psi.b * exact.arm_b.amplitudes

@@ -6,7 +6,8 @@ import contextlib
 import csv
 import ctypes
 import errno
-import importlib
+import importlib.util
+import inspect
 import io
 import json
 import math
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mzkick
-from mzkick import cli, pointer
+from mzkick import cli, pointer, weak_measurement
 from mzkick.__main__ import run
 from mzkick.cli import (
     ARRAY_LENGTH_MAX,
@@ -43,6 +44,7 @@ from mzkick.cli import (
 from mzkick.errors import ConfigError
 from mzkick.pointer import GRID_BLOCK, block_map, grid_blocks
 from mzkick.weak_measurement import OpticalSetup
+from oracles import child_env, d2_mean_kick, p_d1, visibility
 
 
 def strict_loads(text):
@@ -233,11 +235,11 @@ class TestSinglePhoton:
         # 2**17 + 1 points: three blocks per grid pass, two per integral.
         report, _, _ = run_single_photon(ScenarioConfig(grid_points=2**17 + 1))
         config = report["config"]
-        kick, p_d1, d2_kick = gaussian_channel_closed_forms(config)
+        kick, want_d1, d2_kick = gaussian_channel_closed_forms(config)
         d1, d2 = report["channels"]
         tol = 1e-8 * max(1.0, abs(kick))
         rounding = 64.0 * sys.float_info.epsilon * (abs(kick) + 8.0 * config["delta_spread"])
-        assert d1["probability"] == pytest.approx(p_d1, abs=tol)
+        assert d1["probability"] == pytest.approx(want_d1, abs=tol)
         assert d2["mean_kick"] == pytest.approx(d2_kick, abs=tol + rounding)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -366,9 +368,9 @@ class TestDecoherence:
     def test_rows_api_matches_oracle(self):
         cfg = ScenarioConfig()
         rows = run_decoherence_scan(cfg, [0.5])[0]["rows"]
-        v = math.exp(-0.5**2 / 4.0)
-        assert rows[0]["visibility"] == pytest.approx(v, abs=1e-8)
-        assert rows[0]["p_d1"] == pytest.approx(2.0 * 0.75 * 0.25 * (1.0 + v), abs=1e-8)
+        # The kick is 0.5 of the default spread 10.
+        assert rows[0]["visibility"] == pytest.approx(visibility(5.0, 10.0), abs=1e-8)
+        assert rows[0]["p_d1"] == pytest.approx(p_d1(0.75, 5.0, 10.0), abs=1e-8)
 
     def test_one_shift_per_kick(self, monkeypatch):
         ifft_calls = []
@@ -652,13 +654,9 @@ def read_table(path: Path) -> dict:
 
 def gaussian_channel_closed_forms(config: dict) -> tuple[float, float, float]:
     """Kick, P(D1) and the D2 mean kick for a Gaussian pointer, from the config alone."""
-    r2 = config["r_squared"]
-    t2 = 1.0 - r2
+    r2, spread = config["r_squared"], config["delta_spread"]
     kick = 2.0 * config["omega"] * math.cos(math.radians(config["alpha_degrees"]))
-    v = math.exp(-kick * kick / (4.0 * config["delta_spread"] ** 2))
-    p_d1 = 2.0 * r2 * t2 * (1.0 + v)
-    d2_kick = kick * (t2 * t2 - r2 * t2 * v) / (r2 * r2 + t2 * t2 - 2.0 * r2 * t2 * v)
-    return kick, p_d1, d2_kick
+    return kick, p_d1(r2, kick, spread), d2_mean_kick(r2, kick, spread)
 
 
 class TestArgvProperty:
@@ -692,10 +690,10 @@ class TestArgvProperty:
             for name, values in columns.items():
                 assert bit_patterns(values) == bit_patterns([row[name] for row in rows])
         if argv[0] == "single-photon" and 0.55 <= report["config"]["r_squared"] <= 0.95:
-            kick, p_d1, d2_kick = gaussian_channel_closed_forms(report["config"])
+            kick, want_d1, d2_kick = gaussian_channel_closed_forms(report["config"])
             d1, d2 = report["channels"]
             tol = 1e-8 * max(1.0, abs(kick))
-            assert d1["probability"] == pytest.approx(p_d1, abs=tol)
+            assert d1["probability"] == pytest.approx(want_d1, abs=tol)
             # A first moment over a grid of half-width H carries rounding of order eps*H.
             config = report["config"]
             half = config["grid_halfwidth"] or abs(kick) + 8.0 * config["delta_spread"]
@@ -824,14 +822,6 @@ class TestJsonTables:
         for name, values in zip(header, zip(*rows)):
             # Each CSV field is the repr of its value, which parses as a JSON number.
             assert bit_patterns(columns[name]) == bit_patterns(map(json.loads, values))
-
-
-def child_env() -> dict:
-    """The environment for a `python -m mzkick` child that imports the same
-    mzkick as this process, installed or not."""
-    src = str(Path(mzkick.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def no_libc(name):
@@ -1091,3 +1081,21 @@ class TestOneOutputPath:
         # The second run's own bytes, and no staging directory left behind.
         files = {path.name: path.read_bytes() for path in fresh.iterdir()}
         assert {path.name: path.read_bytes() for path in out.iterdir()} == files
+
+
+class TestTracedImportSites:
+    def test_the_tracer_wraps_every_import_site(self, monkeypatch):
+        # perfbench/traced.py wraps library functions where cli and
+        # weak_measurement import them, by name: a renamed site breaks every
+        # traced benchmark run, and the suite here does not run perfbench.
+        spec = importlib.util.spec_from_file_location("traced", Path(__file__).parents[1] / "perfbench" / "traced.py")
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        functions = {name: obj for name, obj in vars(weak_measurement).items() if inspect.isfunction(obj)}
+        for module in (cli, weak_measurement):
+            for name, obj in list(vars(module).items()):
+                if inspect.isfunction(obj):
+                    monkeypatch.setattr(module, name, obj)  # put back when the test ends
+        traced.install(traced.Tracer(), cli, weak_measurement)
+        for name in ("shift", "mean_momentum"):
+            assert getattr(weak_measurement, name).__wrapped__ is functions[name]

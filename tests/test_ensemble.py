@@ -14,16 +14,8 @@ from mzkick.ensemble import (
     sample_runs,
 )
 from mzkick.errors import ConstraintViolationError, ZeroOverlapError
-from mzkick.photon_modes import BeamsplitterSpec
-from mzkick.weak_measurement import OpticalSetup, net_kick_d2
-
-ALPHA_60 = math.radians(60.0)
-
-
-def make_setup(r_squared=0.75, nbar=100.0, alpha=ALPHA_60, omega=1.0):
-    return OpticalSetup(
-        bs=BeamsplitterSpec(r_squared), omega=omega, alpha=alpha, nbar=nbar
-    )
+from mzkick.weak_measurement import net_kick_d2
+from oracles import make_setup
 
 
 def fixed_total_records(total: int, trials: int, seed: int, kick: float, p_d1: float) -> RunTable:
@@ -61,7 +53,7 @@ POOLED = pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pool
 
 class TestExpectedKickReport:
     def test_headline_values(self):
-        report = expected_kick_report(make_setup())
+        report = expected_kick_report(make_setup(nbar=100.0))
         assert report.d1_total == 0.0
         assert report.d2_total == pytest.approx(-12.5, abs=1e-12)
         assert report.grand_total == pytest.approx(-12.5, abs=1e-12)
@@ -78,7 +70,7 @@ class TestExpectedKickReport:
 
     def test_balanced_raises(self):
         with pytest.raises(ZeroOverlapError):
-            expected_kick_report(make_setup(0.5))
+            expected_kick_report(make_setup(0.5, nbar=100.0))
 
 
 class TestSampleRuns:
@@ -127,13 +119,13 @@ class TestSampleRuns:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConstraintViolationError):
-            sample_runs(make_setup(), 0, seed=1)
+            sample_runs(make_setup(nbar=100.0), 0, seed=1)
         with pytest.raises(ConstraintViolationError):
             sample_runs(make_setup(nbar=0.0), 10, seed=1)
         with pytest.raises(ConstraintViolationError):
             sample_runs(make_setup(nbar=1e30), 10, seed=1)
         with pytest.raises(ZeroOverlapError):
-            sample_runs(make_setup(0.5), 10, seed=1)
+            sample_runs(make_setup(0.5, nbar=100.0), 10, seed=1)
 
     def test_nbar_limit_is_numpys(self):
         assert len(sample_runs(make_setup(nbar=POISSON_NBAR_MAX), 2, seed=1)) == 2

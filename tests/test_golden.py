@@ -10,16 +10,14 @@ version.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mzkick
 from mzkick.cli import EXIT_OK, main
+from oracles import child_env
 
 CONFIGS = {
     "defaults": [],
@@ -170,12 +168,6 @@ def run_digests(argv, out_dir, capsys) -> dict[str, str]:
     """Run one CLI invocation in this process and digest its outputs."""
     assert main([*argv, "--out", str(out_dir)]) == EXIT_OK
     return output_digests(capsys.readouterr().out.encode(), out_dir)
-
-
-def child_env() -> dict:
-    """The environment for a `python -m mzkick` child that imports this mzkick."""
-    src = str(Path(mzkick.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -15,8 +15,9 @@ from mzkick.photon_modes import (
     inner_product,
     intra_state,
 )
-from mzkick.pointer import default_grid, gaussian_pointer
+from mzkick.pointer import gaussian_pointer
 from mzkick.weak_measurement import couple_with_kick, postselect
+from oracles import kicked_grid
 
 SQRT_075 = 0.8660254037844386  # sqrt(0.75)
 R2_SWEEP = [0.51 + 0.04 * k for k in range(13)]  # 0.51, 0.55, ..., 0.99
@@ -26,7 +27,7 @@ phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 # Without a kick the pointer factors out, so the grid post-selection
 # probability is the bare photon probability |<channel|psi>|^2.
-UNKICKED_POINTER = gaussian_pointer(default_grid(1.0), 1.0)
+UNKICKED_POINTER = gaussian_pointer(kicked_grid(1.0), 1.0)
 
 
 def detection_probability(psi: ModeAmplitudes, channel_state: ModeAmplitudes) -> float:

@@ -23,7 +23,7 @@ from mzkick.pointer import (
     _wrap_band,
     block_map,
     check_norm,
-    default_grid,
+    default_halfwidth,
     filter_spectrum,
     gaussian_pointer,
     grid_blocks,
@@ -31,6 +31,7 @@ from mzkick.pointer import (
     overlap,
     shift,
 )
+from oracles import visibility
 
 SPREAD = 10.0
 
@@ -38,11 +39,6 @@ SPREAD = 10.0
 def grid_points(grid: MomentumGrid) -> np.ndarray:
     """The grid's sample points, as numpy spaces them: the oracle for block_points."""
     return np.linspace(grid.p_min, grid.p_max, grid.n)
-
-
-def gaussian_overlap(delta: float, spread: float) -> float:
-    """Closed-form overlap of a Gaussian with its own shift: exp(-d^2/(4 s^2))."""
-    return math.exp(-(delta**2) / (4.0 * spread**2))
 
 
 @pytest.fixture
@@ -76,15 +72,14 @@ class TestMomentumGrid:
         with pytest.raises(ConstraintViolationError, match="grid spacing .* must be finite and nonzero"):
             MomentumGrid(*bounds, 16)
 
-    def test_default_grid_covers_spread_and_shift(self):
-        g = default_grid(SPREAD, max_shift=40.0)
-        assert g.p_max == pytest.approx(40.0 + 8.0 * SPREAD)
-        assert g.n == 4096
+    @pytest.mark.parametrize("max_shift", [40.0, -40.0])
+    def test_default_halfwidth_covers_spread_and_shift(self, max_shift):
+        assert default_halfwidth(SPREAD, max_shift) == 40.0 + 8.0 * SPREAD
 
     @pytest.mark.parametrize("spread", [0.0, -1.0, math.nan, math.inf])
-    def test_default_grid_rejects_non_positive_spread(self, spread):
+    def test_default_halfwidth_rejects_non_positive_spread(self, spread):
         with pytest.raises(ConstraintViolationError, match="delta_spread"):
-            default_grid(spread)
+            default_halfwidth(spread)
 
 
 # Samples the trapezoidal rule must carry through unchanged: signed zeros,
@@ -110,7 +105,7 @@ class TestIntegrate:
     @given(grid_and_samples())
     def test_bit_identical_to_numpy_trapezoid(self, case):
         grid, y = case
-        got, want = grid.integrate(lambda s, _: y[s]), np.trapezoid(y, grid_points(grid))
+        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid_points(grid))
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -415,12 +410,12 @@ class TestOverlap:
 
     def test_small_shift_closed_form(self, gauss):
         got = abs(overlap(gauss, shift(gauss, 1.0)))
-        assert got == pytest.approx(gaussian_overlap(1.0, SPREAD), abs=1e-8)
+        assert got == pytest.approx(visibility(1.0, SPREAD), abs=1e-8)
         assert got == pytest.approx(0.9975031223974601, abs=1e-8)
 
     def test_large_shift_closed_form(self, gauss):
         got = abs(overlap(gauss, shift(gauss, 40.0)))
-        assert got == pytest.approx(gaussian_overlap(40.0, SPREAD), abs=1e-8)
+        assert got == pytest.approx(visibility(40.0, SPREAD), abs=1e-8)
         assert got == pytest.approx(0.01831563888873418, abs=1e-8)
 
     def test_matches_high_resolution_quadrature(self, gauss):
@@ -442,7 +437,7 @@ class TestOverlap:
         for ratio in np.linspace(0.0, 5.0, 21):
             delta = ratio * SPREAD
             got = abs(overlap(gauss, shift(gauss, delta)))
-            assert got == pytest.approx(gaussian_overlap(delta, SPREAD), abs=1e-8)
+            assert got == pytest.approx(visibility(delta, SPREAD), abs=1e-8)
 
     def test_rejects_mismatched_grids(self, gauss):
         other = gaussian_pointer(MomentumGrid(-120.0, 120.0, 1024), SPREAD)
@@ -486,9 +481,8 @@ class TestGridBlocks:
         grid = MomentumGrid(-1.0, 1.0, n)
         read = []
 
-        def sample(s, p):
+        def sample(s):
             read.append(s)
-            assert p.tobytes() == grid_points(grid)[s].tobytes()
             return np.ones(len(range(n)[s]))
 
         assert grid.integrate(sample) == pytest.approx(2.0, rel=1e-12)
@@ -508,7 +502,7 @@ class TestGridBlocks:
         y = rng.standard_normal(n).astype(dtype)
         if dtype is np.complex128:
             y.imag = rng.standard_normal(n)
-        got, want = grid.integrate(lambda s, _: y[s]), np.trapezoid(y, grid_points(grid))
+        got, want = grid.integrate(lambda s: y[s]), np.trapezoid(y, grid_points(grid))
         if n <= GRID_BLOCK + 1:  # one block: numpy's own expression
             assert got.tobytes() == want.tobytes()
             return
@@ -580,7 +574,7 @@ class TestGridBlocks:
         grid = MomentumGrid(-120.0, 120.0, n)
         state = shift(gaussian_pointer(grid, SPREAD), kick)
         amp = state.amplitudes
-        want = float(grid.integrate(lambda s, p: p * np.abs(amp[s]) ** 2))
+        want = float(grid.integrate(lambda s: grid.block_points(s) * np.abs(amp[s]) ** 2))
         assert np.float64(mean_momentum(state)).tobytes() == np.float64(want).tobytes()
 
     def test_moments_at_a_multi_block_grid(self):
@@ -588,7 +582,7 @@ class TestGridBlocks:
         moved = shift(state, 13.7)
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert mean_momentum(moved) == pytest.approx(13.7, abs=1e-10)
-        assert abs(overlap(state, moved)) == pytest.approx(gaussian_overlap(13.7, SPREAD), abs=1e-12)
+        assert abs(overlap(state, moved)) == pytest.approx(visibility(13.7, SPREAD), abs=1e-12)
 
 
 @st.composite
@@ -664,14 +658,14 @@ class TestBlockMap:
         outer = MomentumGrid(-3.0, 3.0, 2 * GRID_BLOCK + 1)
         elsewhere = []
 
-        def sample(s, p):
+        def sample(s):
             here = threading.get_ident()
 
-            def ones(t, q):
+            def ones(t):
                 elsewhere.append(threading.get_ident() != here)
-                return np.ones(q.size)
+                return np.ones(t.stop - t.start)
 
-            return np.full(p.size, inner.integrate(ones))
+            return np.full(s.stop - s.start, inner.integrate(ones))
 
         pooled = outer.integrate(sample)
         assert elsewhere == [False] * 4

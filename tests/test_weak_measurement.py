@@ -23,7 +23,6 @@ from mzkick.pointer import (
     GRID_BLOCK,
     MomentumGrid,
     PointerState,
-    default_grid,
     gaussian_pointer,
     mean_momentum,
     overlap,
@@ -31,7 +30,6 @@ from mzkick.pointer import (
 )
 from mzkick.weak_measurement import (
     JointState,
-    OpticalSetup,
     couple_with_kick,
     first_order_joint,
     net_kick_d1,
@@ -39,37 +37,9 @@ from mzkick.weak_measurement import (
     postselect,
     weak_value_PB,
 )
+from oracles import d2_mean_kick, kicked_grid, make_setup, p_d1, p_d2
 
 SPREAD = 10.0
-ALPHA_60 = math.radians(60.0)
-
-
-def make_setup(r_squared=0.75, omega=1.0, alpha=ALPHA_60, nbar=0.0):
-    return OpticalSetup(
-        bs=BeamsplitterSpec(r_squared), omega=omega, alpha=alpha, nbar=nbar
-    )
-
-
-def d2_mean_kick_oracle(r_squared: float, delta: float, spread: float) -> float:
-    """Closed-form conditional mean momentum of the D2 channel, Gaussian pointer.
-
-    The conditional wavefunction is -r^2 phi(p) + t^2 phi(p - delta); its
-    Gaussian moments evaluate to delta*(t^4 - r^2 t^2 v)/(r^4 + t^4 - 2 r^2 t^2 v)
-    with v = exp(-delta^2/(4 spread^2)).
-    """
-    r2 = r_squared
-    t2 = 1.0 - r_squared
-    v = math.exp(-(delta**2) / (4.0 * spread**2))
-    return delta * (t2**2 - r2 * t2 * v) / (r2**2 + t2**2 - 2.0 * r2 * t2 * v)
-
-
-def channel_probability_oracle(r_squared: float, delta: float, spread: float, channel: str) -> float:
-    """Closed-form exact channel probabilities for the Gaussian pointer."""
-    r2 = r_squared
-    t2 = 1.0 - r_squared
-    v = math.exp(-(delta**2) / (4.0 * spread**2))
-    p1 = 2.0 * r2 * t2 * (1.0 + v)
-    return p1 if channel == CHANNEL_D1 else r2**2 + t2**2 - 2.0 * r2 * t2 * v
 
 
 @pytest.fixture
@@ -79,7 +49,7 @@ def setup():
 
 @pytest.fixture
 def pointer(setup):
-    return gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
+    return gaussian_pointer(kicked_grid(SPREAD, setup.delta_kick), SPREAD)
 
 
 class TestOpticalSetup:
@@ -172,7 +142,7 @@ class TestFirstOrderJoint:
 
     def test_strong_coupling_breakdown(self):
         setup = make_setup(omega=10.0)  # delta/spread = 1
-        pointer = gaussian_pointer(default_grid(SPREAD, setup.delta_kick), SPREAD)
+        pointer = gaussian_pointer(kicked_grid(SPREAD, setup.delta_kick), SPREAD)
         psi = intra_state(setup.bs)
         exact = couple_with_kick(psi, pointer, setup.delta_kick)
         approx = first_order_joint(psi, pointer, setup.delta_kick)
@@ -182,7 +152,7 @@ class TestFirstOrderJoint:
     def test_matches_the_derivative_form(self, ratio):
         # oracle: phi - delta * dphi/dp, the derivative taken as its own transform
         delta = ratio * SPREAD
-        pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+        pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
         freqs = np.fft.fftfreq(pointer.grid.n, d=pointer.grid.spacing)
         dphi = np.fft.ifft(np.fft.fft(pointer.amplitudes) * (2j * np.pi * freqs))
         oracle = pointer.amplitudes - delta * dphi
@@ -195,7 +165,7 @@ class TestFirstOrderJoint:
         for ratio in (1e-3, 1e-2):
             setup = make_setup(omega=10.0 * ratio)
             delta = setup.delta_kick
-            pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+            pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
             for channel in (CHANNEL_D1, CHANNEL_D2):
                 phi = detector_state(setup.bs, channel)
                 exact = postselect(couple_with_kick(psi, pointer, setup.delta_kick), phi)
@@ -251,7 +221,7 @@ class TestPostselect:
         psi = intra_state(setup.bs)
         phi1 = detector_state(setup.bs, CHANNEL_D1)
         for delta in (0.1, 1.0, 10.0, 40.0):
-            pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+            pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
             res = postselect(couple_with_kick(psi, pointer, delta), phi1)
             assert res.mean_kick == pytest.approx(delta / 2.0, abs=1e-8)
 
@@ -259,7 +229,7 @@ class TestPostselect:
         psi = intra_state(setup.bs)
         joint = couple_with_kick(psi, pointer, setup.delta_kick)
         res = postselect(joint, detector_state(setup.bs, CHANNEL_D2))
-        oracle = d2_mean_kick_oracle(0.75, setup.delta_kick, SPREAD)
+        oracle = d2_mean_kick(0.75, setup.delta_kick, SPREAD)
         assert res.mean_kick == pytest.approx(oracle, abs=1e-8)
         assert res.mean_kick == pytest.approx(-0.49626865865015585, abs=1e-5)
 
@@ -269,15 +239,15 @@ class TestPostselect:
         phi1 = detector_state(bs, CHANNEL_D1)
         phi2 = detector_state(bs, CHANNEL_D2)
         for delta in (0.1, 1.0, 10.0, 40.0):
-            pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+            pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
             joint = couple_with_kick(psi, pointer, delta)
             r1 = postselect(joint, phi1)
             r2 = postselect(joint, phi2)
             assert r1.probability == pytest.approx(
-                channel_probability_oracle(0.75, delta, SPREAD, CHANNEL_D1), abs=1e-10
+                p_d1(0.75, delta, SPREAD), abs=1e-10
             )
             assert r2.probability == pytest.approx(
-                channel_probability_oracle(0.75, delta, SPREAD, CHANNEL_D2), abs=1e-10
+                p_d2(0.75, delta, SPREAD), abs=1e-10
             )
             assert r1.probability + r2.probability == pytest.approx(1.0, abs=1e-10)
 
@@ -289,7 +259,7 @@ class TestPostselect:
         phi2 = detector_state(bs, CHANNEL_D2)
         for ratio in (0.01, 0.1, 1.0, 4.0):
             delta = ratio * SPREAD
-            pointer = gaussian_pointer(default_grid(SPREAD, delta), SPREAD)
+            pointer = gaussian_pointer(kicked_grid(SPREAD, delta), SPREAD)
             joint = couple_with_kick(psi, pointer, delta)
             r1 = postselect(joint, phi1)
             r2 = postselect(joint, phi2)
@@ -356,7 +326,7 @@ class TestInlineAndPooled:
             expanded = first_order_joint(psi, state, 0.3)
             results = [postselect(j, detector_state(bs, c)) for j in (joint, expanded) for c in CHANNELS]
             return [
-                grid.integrate(lambda s, _: y[s]).tobytes(),
+                grid.integrate(lambda s: y[s]).tobytes(),
                 np.float64(mzkick.pointer._peak_density(y)).tobytes(),
                 state.amplitudes.tobytes(),
                 joint.arm_b.amplitudes.tobytes(),
@@ -418,7 +388,7 @@ def complex_gaussian(grid: MomentumGrid) -> np.ndarray:
     complex divide: the oracle for its float64 samples."""
     p = np.linspace(grid.p_min, grid.p_max, grid.n)
     amp = np.exp(-(p * p) / (2.0 * SPREAD * SPREAD)).astype(np.complex128)
-    amp /= math.sqrt(float(grid.integrate(lambda s, _: np.abs(amp[s]) ** 2)))
+    amp /= math.sqrt(float(grid.integrate(lambda s: np.abs(amp[s]) ** 2)))
     return amp
 
 
@@ -499,7 +469,7 @@ class TestCoherenceVisibility:
 
     @staticmethod
     def visibility(setup, delta_spread):
-        g = gaussian_pointer(default_grid(delta_spread, setup.delta_kick), delta_spread)
+        g = gaussian_pointer(kicked_grid(delta_spread, setup.delta_kick), delta_spread)
         return abs(overlap(g, shift(g, setup.delta_kick)))
 
     def test_weak_coupling_is_coherent(self, setup):
