@@ -30,7 +30,7 @@ from .photon_modes import CHANNEL_D1, CHANNEL_D2, CHANNELS, BeamsplitterSpec, de
 from .pointer import DEFAULT_GRID_POINTS, MomentumGrid, default_halfwidth, gaussian_pointer, overlap
 from .weak_measurement import (
     OpticalSetup,
-    couple_with_kick,
+    couple_with_kicks,
     net_kick_d1,
     net_kick_d2,
     postselect,
@@ -227,8 +227,10 @@ def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
     if not _is_normal(half * half):
         raise ConfigError(f"{field}: {what} must square to a normal float (got {half})")
     pointer = gaussian_pointer(MomentumGrid(-half, half, cfg.grid_points), cfg.delta_spread)
-    joints = (couple_with_kick(psi, pointer, kick) for kick in kicks)
-    return weak, ((joint, *(postselect(joint, phi) for phi in phis)) for joint in joints)
+    # map, not a generator expression, whose loop variable would keep each
+    # kick's joint state alive while the next kick is made.
+    return weak, map(lambda joint: (joint, *(postselect(joint, phi) for phi in phis)),
+                     couple_with_kicks(psi, pointer, kicks))
 
 
 def run_single_photon(cfg: ScenarioConfig) -> tuple[dict, dict, str | None]:
@@ -308,8 +310,10 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
     if not kicks or not all(kick == 0.0 or _is_normal(kick) for kick in kicks):
         raise ConfigError(f"ratios: need one or more, each ratio*delta_spread zero or normal (got {ratios})")
     (_, wv2), results = _exact_channels(cfg, kicks, "ratios")
-    rows = [
-        {
+
+    def scan_row(ratio: float, delta: float, result: tuple) -> dict:
+        joint, (p_d1, _), (p_d2, d2_mean_kick) = result
+        return {
             "delta_over_spread": ratio,
             "visibility": abs(overlap(joint.arm_a, joint.arm_b)),
             "p_d1": p_d1,
@@ -317,9 +321,10 @@ def run_decoherence_scan(cfg: ScenarioConfig, ratios: list[float]) -> tuple[dict
             "d2_mean_kick": d2_mean_kick,
             "d2_weak_kick": wv2.real * delta,
         }
-        for ratio, delta, (joint, (p_d1, _), (p_d2, d2_mean_kick))
-        in zip(ratios, kicks, results)
-    ]
+
+    # map releases each kick's joint state once its row is made; a comprehension
+    # over zip would hold it while the next kick is made.
+    rows = list(map(scan_row, ratios, kicks, results))
     columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     return {"schema_version": SCHEMA_VERSION, "rows": rows}, {"decoherence_scan": columns}, None
 

@@ -20,7 +20,7 @@ import math
 import operator
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
@@ -322,62 +322,97 @@ def shift(state: PointerState, delta_kick: float) -> PointerState:
     Implemented by phase multiplication in the conjugate domain, so the shift
     is exact for band-limited states and delta_kick need not be a grid
     multiple. The transform is circular, so any sample band that would wrap
-    around must carry no density.
+    around must carry no density. A zero kick returns the state itself.
     """
-    if delta_kick == 0.0:
-        return state
+    return next(shifts(state, [delta_kick]))
+
+
+def shifts(state: PointerState, kicks: Sequence[float]) -> Iterator[PointerState]:
+    """shift(state, kick) for each kick in order, each made as it is read, from
+    one forward transform of the state (filter_spectrum).
+
+    Each kick's span and wrap checks run when it is read, so the kicks before
+    a refused one are made first and the first refused kick raises. The
+    iterator holds no kick's state once it is handed out.
+    """
     grid = state.grid
     span = grid.p_max - grid.p_min
-    if not abs(delta_kick) < span:  # also refuses nan
-        raise GridCoverageError(f"shift {delta_kick} exceeds the grid span {span}")
-    wrap = state.amplitudes[_wrap_band(grid, delta_kick)]
-    if wrap.size and _peak_density(wrap) >= TAIL_DENSITY_RATIO * state.peak:
-        raise GridCoverageError(
-            f"shift by {delta_kick} would push significant density off-grid"
-        )
 
-    def phase(freqs: np.ndarray) -> np.ndarray:  # exp(-2*pi*i*f*delta), in place
-        factor = -2j * np.pi * freqs
-        factor *= delta_kick
-        return np.exp(factor, out=factor)
+    def phase(delta_kick: float) -> Callable[[np.ndarray], np.ndarray]:
+        def response(freqs: np.ndarray) -> np.ndarray:  # exp(-2*pi*i*f*delta), in place
+            factor = -2j * np.pi * freqs
+            factor *= delta_kick
+            return np.exp(factor, out=factor)
 
-    return filter_spectrum(state, phase)
+        return response
+
+    spectra = filter_spectrum(state, [None if kick == 0.0 else phase(kick) for kick in kicks])
+    for kick in kicks:
+        if kick != 0.0:
+            if not abs(kick) < span:  # also refuses nan
+                raise GridCoverageError(f"shift {kick} exceeds the grid span {span}")
+            wrap = state.amplitudes[_wrap_band(grid, kick)]
+            if wrap.size and _peak_density(wrap) >= TAIL_DENSITY_RATIO * state.peak:
+                raise GridCoverageError(f"shift by {kick} would push significant density off-grid")
+        yield next(spectra)
 
 
-def filter_spectrum(state: PointerState, response: Callable[[np.ndarray], np.ndarray]) -> PointerState:
-    """phi -> ifft(fft(phi) * response(f)), f = fftfreq(n, d=spacing): the one FFT path.
+def filter_spectrum(
+    state: PointerState, responses: Sequence[Callable[[np.ndarray], np.ndarray] | None]
+) -> Iterator[PointerState]:
+    """ifft(fft(phi) * response(f)), f = fftfreq(n, d=spacing), for each response
+    in order, each made as it is read; the state itself for a None response.
+    The one FFT path.
 
-    The state is copied a block at a time into a complex buffer, and both
-    transforms work on it in place: numpy's fft has complex loops only, so
+    The state is transformed once, when the first response that is not None is
+    read: it is copied a block at a time into a complex buffer, which the
+    forward transform works on in place (numpy's fft has complex loops only, so
     transforming a real state directly would first cast it to a whole-grid
-    complex copy. The spectrum is multiplied in place a block at a time, by
-    response of the block's frequencies, so neither the full factor nor the
-    full frequency array is ever built. response must be pure: the blocks run
-    on any thread in any order.
+    complex copy). Each response then writes spectrum * response(f) a block at
+    a time into a buffer of its own, which is transformed back in place; the
+    last response that is not None multiplies the spectrum itself, so one
+    response allocates one grid array, and many hold the spectrum plus the
+    buffer being read. Neither the full factor nor the full frequency array is
+    ever built. A response must be pure: its blocks run on any thread in any
+    order.
     """
     grid = state.grid
     n = grid.n
-    amp = state.amplitudes
-    spectrum = np.empty(n, dtype=np.complex128)
-    block_map(lambda s: np.copyto(spectrum[s], amp[s]), grid_blocks(n))
-    np.fft.fft(spectrum, out=spectrum)
+    last = max((i for i, response in enumerate(responses) if response is not None), default=-1)
     # The bits of np.fft.fftfreq(n, d): the bins k, wrapped to k - n from
     # k = (n + 1) // 2 on, times 1 / (n * d).
     scale = 1.0 / (n * grid.spacing)
+    spectrum = None
 
-    def multiply(s: slice) -> None:
-        bins = np.arange(s.start, s.stop)
-        wrapped = bins[max((n + 1) // 2 - s.start, 0):]
-        wrapped -= n
-        # The spectrum stays the left operand: F *= P gives the bits of F * P,
-        # which P * F need not (fused multiply-add).
-        block = spectrum[s]
-        block *= response(bins * scale)
+    def filtered(response: Callable[[np.ndarray], np.ndarray], in_place: bool) -> np.ndarray:
+        nonlocal spectrum
+        if spectrum is None:
+            amp = state.amplitudes
+            spectrum = np.empty(n, dtype=np.complex128)
+            block_map(lambda s: np.copyto(spectrum[s], amp[s]), grid_blocks(n))
+            np.fft.fft(spectrum, out=spectrum)
+        out = spectrum if in_place else np.empty(n, dtype=np.complex128)
 
-    block_map(multiply, grid_blocks(n))
-    np.fft.ifft(spectrum, out=spectrum)
-    spectrum.flags.writeable = False
-    return PointerState(grid, spectrum)
+        def multiply(s: slice) -> None:
+            bins = np.arange(s.start, s.stop)
+            wrapped = bins[max((n + 1) // 2 - s.start, 0):]
+            wrapped -= n
+            # The spectrum stays the left operand: F * P, which P * F need not
+            # match bit for bit (fused multiply-add).
+            np.multiply(spectrum[s], response(bins * scale), out=out[s])
+
+        block_map(multiply, grid_blocks(n))
+        if in_place:
+            spectrum = None  # handed over with the last state
+        np.fft.ifft(out, out=out)
+        out.flags.writeable = False
+        return out
+
+    # Each state is made in the yield expression, so the generator keeps no
+    # state or buffer between reads: the one handed out before is freed with
+    # its reader's last reference.
+    for i, response in enumerate(responses):
+        yield state if response is None else PointerState(grid, filtered(response, i == last))
 
 
 def _wrap_band(grid: MomentumGrid, delta_kick: float) -> slice:

@@ -12,14 +12,16 @@ which exactly cancels their inside kick.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, filter_spectrum, normalized_mean, shift
+from .pointer import PointerState, filter_spectrum, normalized_mean, shift, shifts
 from .pointer import mean_momentum  # noqa: F401 -- perfbench/traced.py wraps it here by name
 
 # Below this post-selection probability (or amplitude overlap) the conditional
@@ -93,6 +95,16 @@ def couple_with_kick(psi: ModeAmplitudes, pointer: PointerState, delta_kick: flo
     return JointState(psi, pointer, shift(pointer, delta_kick))
 
 
+def couple_with_kicks(psi: ModeAmplitudes, pointer: PointerState, kicks: Sequence[float]) -> Iterator[JointState]:
+    """couple_with_kick(psi, pointer, kick) for each kick in order, each made as it
+    is read. psi and the pointer are checked once, here; the arm-B pointers come
+    from pointer.shifts, one forward transform for all the kicks, and the
+    iterator holds no joint state once it is handed out."""
+    psi.require_normalized()
+    pointer.require_normalized()
+    return map(partial(JointState, psi, pointer), shifts(pointer, kicks))
+
+
 def first_order_joint(psi: ModeAmplitudes, pointer: PointerState, delta_kick: float) -> JointState:
     """First-order expansion of the coupling: phi(p - delta) ~ phi(p) - delta*dphi/dp.
 
@@ -101,7 +113,7 @@ def first_order_joint(psi: ModeAmplitudes, pointer: PointerState, delta_kick: fl
     by O((delta/spread)^2). Production paths use the exact coupling.
     """
     pointer.require_normalized()
-    expanded = filter_spectrum(pointer, lambda freqs: 1.0 - 2j * np.pi * delta_kick * freqs)
+    expanded = next(filter_spectrum(pointer, [lambda freqs: 1.0 - 2j * np.pi * delta_kick * freqs]))
     return JointState(psi, pointer, expanded)
 
 
@@ -125,12 +137,13 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
 
     Returns the channel probability and the mean momentum of the normalized
     conditional mirror state. The state is never stored: two passes over the
-    grid blocks each build it a block at a time, the first to integrate its
-    density into the probability, the second, normalized, through
-    pointer.normalized_mean, which checks it as a normalized PointerState
-    (check_samples, then check_norm) and takes its first moment. The
-    probability reading assumes the joint state is normalized
-    (couple_with_kick guarantees this; first_order_joint does not).
+    grid blocks each build it a block at a time, in place: the first to
+    integrate its density into the probability, the second, scaled by
+    1 / sqrt(probability), through pointer.normalized_mean, which checks it as
+    a normalized PointerState (check_samples, then check_norm) and takes its
+    first moment. The probability reading assumes the joint state is
+    normalized (the exact couplings guarantee this; first_order_joint does
+    not).
     """
     grid = joint.arm_a.grid
     ca, cb = phi_post.a.conjugate(), phi_post.b.conjugate()
@@ -148,13 +161,24 @@ def postselect(joint: JointState, phi_post: ModeAmplitudes) -> PostselectionResu
         np.multiply(cb, d, out=d)
         return np.add(c, d, out=c)
 
-    probability = float(grid.integrate(lambda s: np.abs(amplitude(s)) ** 2))
+    def density(s: slice) -> np.ndarray:
+        m = np.abs(amplitude(s))
+        return np.square(m, out=m)  # the bits of m ** 2
+
+    def magnitude(s: slice) -> np.ndarray:
+        # numpy divides a complex array by a real number as x * (1 / r), so
+        # scaling in place by 1 / sqrt(P) gives the magnitudes of x / sqrt(P).
+        c = amplitude(s)
+        c *= scale
+        return np.abs(c)
+
+    probability = float(grid.integrate(density))
     if not probability >= ZERO_OVERLAP_TOL:  # nan too
         raise ZeroOverlapError(
             f"post-selection probability {probability!r} is numerically zero"
         )
-    norm = math.sqrt(probability)
-    return PostselectionResult(probability, normalized_mean(grid, lambda s: np.abs(amplitude(s) / norm)))
+    scale = 1.0 / math.sqrt(probability)
+    return PostselectionResult(probability, normalized_mean(grid, magnitude))
 
 
 def net_kick_d1(setup: OpticalSetup) -> float:

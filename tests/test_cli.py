@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,35 @@ class TestDecoherence:
         rows = run_decoherence_scan(ScenarioConfig(), ratios)[0]["rows"]
         assert [row["delta_over_spread"] for row in rows] == ratios
         assert len(ifft_calls) == 4  # one per nonzero ratio; a zero kick shifts nothing
+
+    def test_one_forward_transform_per_scan(self, monkeypatch):
+        fft_calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: fft_calls.append(1) or fft(*a, **k))
+        run_decoherence_scan(ScenarioConfig(), [0.0, 0.5, 1.0, -2.0, 5.0])
+        assert len(fft_calls) == 1  # the pointer's spectrum serves every kick
+        fft_calls.clear()
+        run_decoherence_scan(ScenarioConfig(), [0.0, -0.0, 0.0])
+        assert fft_calls == []  # no kick, no transform
+
+    def test_each_kick_state_is_freed_before_the_next_is_made(self, monkeypatch):
+        # A kept kick state holds a grid array while the next kick transforms
+        # its own, which raises a large grid's peak by one array.
+        refs, freed = [], []
+        ifft, overlap = np.fft.ifft, pointer.overlap
+
+        def recording_ifft(*args, **kwargs):
+            freed.append([ref() is None for ref in refs])
+            return ifft(*args, **kwargs)
+
+        def recording_overlap(s1, s2):
+            refs.append(weakref.ref(s2.amplitudes))
+            return overlap(s1, s2)
+
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+        monkeypatch.setattr(cli, "overlap", recording_overlap)
+        run_decoherence_scan(ScenarioConfig(), [0.5, 1.0, -2.0, 5.0])
+        assert freed == [[], [True], [True, True], [True, True, True]]
 
     def test_empty_ratio_list_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,9 +4,10 @@ Each case runs `mzkick.cli.main` in-process at a fixed config and seed and
 hashes every file written to `--out` plus the captured stdout, so any change
 to a single byte of any report fails here. One case per subcommand also runs
 through `python -m mzkick`, whose process policies must move no byte. The
-digests were captured with numpy 2.4.6; FFT and RNG output may differ in the
-last bits under another numpy, which is why a mismatch names the numpy
-version.
+digests were captured with numpy 2.4.6 on its X86_V4 tier with AVX512_ICL and
+AVX512_SPR. FFT and RNG output may differ in the last bits under another
+numpy, and numpy picks its SIMD loops by CPU at import, so the grid digests
+also move on a host of another tier; a mismatch names both.
 """
 
 import hashlib
@@ -15,9 +16,23 @@ import sys
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from mzkick.cli import EXIT_OK, main
 from oracles import child_env
+
+# numpy's x86 SIMD features that set the digests' tier, highest first; the
+# digests were captured with all of them on.
+TIER_FEATURES = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+PINNED_TIER = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+
+def provenance() -> str:
+    """Where the digests were captured and where they are checked."""
+    host = " ".join(f for f in TIER_FEATURES if __cpu_features__.get(f)) or "baseline"
+    return (f"digests captured with numpy 2.4.6 on {PINNED_TIER}, "
+            f"running numpy {np.__version__} on {host}")
+
 
 CONFIGS = {
     "defaults": [],
@@ -177,10 +192,7 @@ def test_outputs_match_golden_digests(tmp_path, capsys, config, command):
     want = DIGESTS[config, command]
     assert sorted(got) == sorted(want), f"{config}/{command}: output files differ"
     for name, digest in want.items():
-        assert got[name] == digest, (
-            f"{config}/{command}: {name} changed (digests captured with numpy 2.4.6, "
-            f"running numpy {np.__version__})"
-        )
+        assert got[name] == digest, f"{config}/{command}: {name} changed ({provenance()})"
 
 
 @pytest.mark.parametrize("command", ["compare-classical", "decoherence", "ensemble", "single-photon"])
@@ -190,27 +202,20 @@ def test_python_dash_m_matches_golden_digests(tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "mzkick", *COMMANDS[command], "--out", str(tmp_path)],
                           env=child_env(), check=True, capture_output=True)
     assert output_digests(proc.stdout, tmp_path) == DIGESTS["defaults", command], (
-        f"python -m mzkick {command} changed (digests captured with numpy 2.4.6, "
-        f"running numpy {np.__version__})"
+        f"python -m mzkick {command} changed ({provenance()})"
     )
 
 
 @pytest.mark.parametrize("fmt", sorted(MANY_GROUPS_DIGESTS))
 def test_many_poisson_groups_match_golden_digests(tmp_path, capsys, fmt):
     got = run_digests([*MANY_GROUPS, "--format", fmt], tmp_path, capsys)
-    assert got == MANY_GROUPS_DIGESTS[fmt], (
-        f"many-groups ensemble ({fmt}) changed (digests captured with numpy 2.4.6, "
-        f"running numpy {np.__version__})"
-    )
+    assert got == MANY_GROUPS_DIGESTS[fmt], f"many-groups ensemble ({fmt}) changed ({provenance()})"
 
 
 @pytest.mark.parametrize("case", sorted(MULTI_BLOCK))
 def test_multi_block_grids_match_golden_digests(tmp_path, capsys, case):
     got = run_digests(MULTI_BLOCK[case], tmp_path, capsys)
-    assert got == MULTI_BLOCK_DIGESTS[case], (
-        f"multi-block {case} changed (digests captured with numpy 2.4.6, "
-        f"running numpy {np.__version__})"
-    )
+    assert got == MULTI_BLOCK_DIGESTS[case], f"multi-block {case} changed ({provenance()})"
 
 
 def test_summary_does_not_depend_on_blas_threads(tmp_path):

@@ -278,7 +278,7 @@ class TestShift:
 
 class TestFilterSpectrum:
     def test_unit_response_returns_the_input(self, gauss):
-        same = filter_spectrum(gauss, np.ones_like)
+        [same] = filter_spectrum(gauss, [np.ones_like])
         assert np.max(np.abs(same.amplitudes - gauss.amplitudes)) < 1e-15
 
     def test_fft_is_called_only_in_filter_spectrum(self):
@@ -521,7 +521,7 @@ class TestGridBlocks:
             seen.append(freqs.copy())
             return np.ones(freqs.size, dtype=np.complex128)
 
-        filter_spectrum(state, response)
+        next(filter_spectrum(state, [response]))
         # Blocks run on any thread in any order: the blocks seen, as a multiset.
         freqs = np.fft.fftfreq(n, d=state.grid.spacing)
         assert sorted(f.tobytes() for f in seen) == sorted(freqs[s].tobytes() for s in grid_blocks(n))

@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import platform
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -31,13 +35,14 @@ from mzkick.pointer import (
 from mzkick.weak_measurement import (
     JointState,
     couple_with_kick,
+    couple_with_kicks,
     first_order_joint,
     net_kick_d1,
     net_kick_d2,
     postselect,
     weak_value_PB,
 )
-from oracles import d2_mean_kick, kicked_grid, make_setup, p_d1, p_d2
+from oracles import child_env, d2_mean_kick, kicked_grid, make_setup, p_d1, p_d2
 
 SPREAD = 10.0
 
@@ -112,6 +117,64 @@ class TestCoupleReflection:
         narrow = gaussian_pointer(MomentumGrid(-80.0, 80.0, 1024), SPREAD)
         with pytest.raises(GridCoverageError):
             couple_with_kick(intra_state(setup.bs), narrow, 30.0)
+
+
+class TestCoupleWithKicks:
+    @pytest.mark.parametrize("n", [4096, 2 * GRID_BLOCK + 1])
+    @pytest.mark.parametrize(
+        "kicks",
+        [[0.0, 13.7, -0.3], [13.7, 0.0, -5.0], [2.5, -9.0, 0.0], [-0.0, 0.0, 1.0, 0.0], [0.0]],
+        ids=["zero-first", "zero-middle", "zero-last", "zeros-around-one", "zero-only"],
+    )
+    def test_each_arm_b_is_the_one_kick_shift(self, setup, n, kicks):
+        pointer = gaussian_pointer(MomentumGrid(-120.0, 120.0, n), SPREAD)
+        psi = intra_state(setup.bs)
+        joints = list(couple_with_kicks(psi, pointer, kicks))
+        assert len(joints) == len(kicks)
+        for joint, kick in zip(joints, kicks):
+            assert joint.psi is psi and joint.arm_a is pointer
+            assert (joint.arm_b is pointer) == (kick == 0.0)
+            assert joint.arm_b.amplitudes.tobytes() == shift(pointer, kick).amplitudes.tobytes()
+
+    @pytest.mark.parametrize(
+        "kicks,message",
+        [
+            ([5.0, 0.0, 250.0], "shift 250.0 exceeds the grid span 200.0"),
+            ([5.0, 0.0, 60.0], "shift by 60.0 would push significant density off-grid"),
+            ([-5.0, -60.0], "shift by -60.0 would push significant density off-grid"),
+            ([5.0, 60.0, 250.0], "shift by 60.0 would push significant density off-grid"),
+            ([5.0, 250.0, 60.0], "shift 250.0 exceeds the grid span 200.0"),
+            ([5.0, math.nan, 60.0], "shift nan exceeds the grid span 200.0"),
+        ],
+        ids=["span", "wrap", "wrap-negative", "wrap-before-span", "span-before-wrap", "nan"],
+    )
+    def test_a_refused_kick_raises_after_the_kicks_before_it(self, setup, kicks, message):
+        # The kicks before the first refused one are made, with the bits of the
+        # one-kick shift; the first refused one raises the one-kick message.
+        pointer = gaussian_pointer(MomentumGrid(-100.0, 100.0, 4096), SPREAD)
+        joints = couple_with_kicks(intra_state(setup.bs), pointer, kicks)
+        for kick in kicks:
+            try:
+                want = shift(pointer, kick).amplitudes.tobytes()
+            except GridCoverageError as alone:
+                assert str(alone) == message
+                break
+            assert next(joints).arm_b.amplitudes.tobytes() == want
+        with pytest.raises(GridCoverageError) as refused:
+            next(joints)
+        assert str(refused.value) == message
+
+    def test_a_kick_state_is_freed_once_the_next_is_made(self, setup, pointer):
+        # The last nonzero kick holds the pointer's spectrum: the zero kick
+        # after it must free that too.
+        joints = couple_with_kicks(intra_state(setup.bs), pointer, [1.0, -2.0, 3.0, 0.0])
+        arm_b = next(joints).arm_b
+        for _ in range(3):
+            refs = weakref.ref(arm_b), weakref.ref(arm_b.amplitudes)
+            del arm_b
+            arm_b = next(joints).arm_b
+            assert [ref() for ref in refs] == [None, None]
+        assert arm_b is pointer
 
 
 class TestFirstOrderJoint:
@@ -303,6 +366,65 @@ class TestPostselect:
 
 # Grids of two and three blocks, and one whose last block is short.
 POOLED_SIZES = [GRID_BLOCK + 1, 2 * GRID_BLOCK + 1, 196613]
+
+
+# Run in a child under each SIMD tier: postselect's probability and the
+# magnitudes its moments pass reads, against the whole-grid expressions of
+# |amplitude|**2 and |amplitude / sqrt(P)|, on 200 pairs of arms whose samples
+# mix zeros with magnitudes from about 1e-300 to 1e150.
+TIER_CHILD = """
+import math
+import numpy as np
+from mzkick import weak_measurement
+from mzkick.photon_modes import ModeAmplitudes
+from mzkick.pointer import MomentumGrid, PointerState, normalized_mean
+from mzkick.weak_measurement import JointState, postselect
+
+seen = []
+
+def recording_mean(grid, magnitude):
+    def record(s):
+        m = magnitude(s)
+        seen.append(m.copy())
+        return m
+    return normalized_mean(grid, record)
+
+weak_measurement.normalized_mean = recording_mean
+n = 4096
+grid = MomentumGrid(-1.0, 1.0, n)
+p = np.linspace(grid.p_min, grid.p_max, n)
+psi, post = ModeAmplitudes(0.3 - 0.4j, 0.8 + 0.33j), ModeAmplitudes(0.6 + 0.123456789j, -0.0123 + 0.8j)
+ca, cb = post.a.conjugate(), post.b.conjugate()
+rng = np.random.default_rng(32)
+
+def arm(top, real):
+    x = rng.standard_normal(n) + (0.0 if real else 1j * rng.standard_normal(n))
+    x *= 10.0 ** rng.uniform(top - 300.0, top, n)
+    x[rng.random(n) < 0.1] = 0.0
+    x[0] = x[-1] = 0.0
+    return x
+
+for case in range(200):
+    top = rng.uniform(0.0, 150.0)
+    amp_a, amp_b = arm(top, case % 2 == 0), arm(top, False)
+    seen.clear()
+    got = postselect(JointState(psi, PointerState(grid, amp_a), PointerState(grid, amp_b)), post)
+    c = np.add(np.multiply(ca, np.multiply(psi.a, amp_a)), np.multiply(cb, np.multiply(psi.b, amp_b)))
+    assert got.probability == float(np.trapezoid(np.abs(c) ** 2, p)), case
+    assert len(seen) == 1 and seen[0].tobytes() == np.abs(c / math.sqrt(got.probability)).tobytes(), case
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86 SIMD tiers")
+@pytest.mark.parametrize(
+    "disabled",
+    ["", "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
+    ids=["host", "x86-v3", "baseline"],
+)
+def test_postselect_keeps_the_divide_bits_on_every_simd_tier(disabled):
+    env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": disabled}
+    proc = subprocess.run([sys.executable, "-c", TIER_CHILD], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def with_cpus(monkeypatch, cpus: int) -> None:
