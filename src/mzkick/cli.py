@@ -395,32 +395,33 @@ def _output_set(out_dir: Path):
 def _write_table(path: Path, fmt: str, table: dict[str, np.ndarray]) -> None:
     """Write table ({name: 1-D array}) to path.csv, or to path.json as
     {"schema_version", "columns": {name: values}}, TABLE_BLOCK_ROWS rows at a time, so
-    the text in memory is one block's. Every value is its repr, so -0.0 stays -0.0. CSV
-    spells each block of each column by digits or by repr into a NUL-padded text matrix
-    (see _csv_text) and drops the NULs; JSON gives the bytes of
-    json.dumps(payload, allow_nan=False) + "\\n", a column's list spelled block by block."""
+    the text in memory is one block's. Both formats spell each block of each column by
+    digits or by repr into a NUL-padded text matrix (see _column_text) and drop the NULs.
+    Every value is its repr, as json.dumps spells an int or a float, so -0.0 stays -0.0.
+    No value is nan or inf: main refuses those in the report, which holds the scan's
+    rows, and run_ensemble refuses a non-finite momentum."""
     rows = len(next(iter(table.values())))
     blocks = [slice(i, i + TABLE_BLOCK_ROWS) for i in range(0, rows, TABLE_BLOCK_ROWS)]
-    if fmt == "csv":
-        ends = [","] * (len(table) - 1) + ["\n"]
-        with open(path.with_suffix(".csv"), "wb") as f:
+    with open(path.with_suffix(f".{fmt}"), "wb") as f:
+        if fmt == "csv":
+            ends = [","] * (len(table) - 1) + ["\n"]
             f.write((",".join(table) + "\n").encode())
             for block in blocks:
-                body = np.concatenate([_csv_text(col[block], end) for col, end in zip(table.values(), ends)],
+                body = np.concatenate([_column_text(col[block], end) for col, end in zip(table.values(), ends)],
                                       axis=1)
                 f.write(body[body != 0])
-    else:
-        with open(path.with_suffix(".json"), "w") as f:
-            f.write(f'{{"schema_version": {SCHEMA_VERSION}, "columns": {{')
+        else:
+            f.write(f'{{"schema_version": {SCHEMA_VERSION}, "columns": {{'.encode())
             for i, (name, col) in enumerate(table.items()):
-                f.write(", " * (i > 0) + json.dumps(name) + ": [")
+                f.write((", " * (i > 0) + json.dumps(name) + ": [").encode())
                 for j, block in enumerate(blocks):
-                    f.write(", " * (j > 0) + json.dumps(col[block].tolist(), allow_nan=False)[1:-1])
-                f.write("]")
-            f.write("}}\n")
+                    text = _column_text(col[block], ", ")
+                    f.write(b", " * (j > 0) + text[text != 0][:-2].tobytes())
+                f.write(b"]")
+            f.write(b"}}\n")
 
 
-def _csv_text(col: np.ndarray, end: str) -> np.ndarray:
+def _column_text(col: np.ndarray, end: str) -> np.ndarray:
     """repr(value) + end for each entry of col, as the rows of a NUL-padded uint8 matrix.
 
     A non-negative integer column is spelled out by digits (_digit_text), at the same

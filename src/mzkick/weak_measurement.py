@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConstraintViolationError, ZeroOverlapError
 from .photon_modes import BeamsplitterSpec, ModeAmplitudes, inner_product
-from .pointer import PointerState, filter_spectrum, normalized_mean, shift, shifts
-from .pointer import mean_momentum  # noqa: F401 -- perfbench/traced.py wraps it here by name
+from .pointer import PointerState, filter_spectrum, normalized_mean, shifts
+from .pointer import mean_momentum, shift  # noqa: F401 -- perfbench/traced.py wraps them here by name
 
 # Below this post-selection probability (or amplitude overlap) the conditional
 # state is numerically meaningless and the outcome is treated as forbidden.
@@ -90,16 +90,14 @@ class PostselectionResult(NamedTuple):
 
 def couple_with_kick(psi: ModeAmplitudes, pointer: PointerState, delta_kick: float) -> JointState:
     """Exact reflection coupling at an explicit kick: a|A>phi(p) + b|B>phi(p - delta)."""
-    psi.require_normalized()
-    pointer.require_normalized()
-    return JointState(psi, pointer, shift(pointer, delta_kick))
+    return next(couple_with_kicks(psi, pointer, [delta_kick]))
 
 
 def couple_with_kicks(psi: ModeAmplitudes, pointer: PointerState, kicks: Sequence[float]) -> Iterator[JointState]:
-    """couple_with_kick(psi, pointer, kick) for each kick in order, each made as it
-    is read. psi and the pointer are checked once, here; the arm-B pointers come
-    from pointer.shifts, one forward transform for all the kicks, and the
-    iterator holds no joint state once it is handed out."""
+    """The exact coupling a|A>phi(p) + b|B>phi(p - kick) for each kick in order, each
+    made as it is read. psi and the pointer are checked once, here; the arm-B
+    pointers come from pointer.shifts, one forward transform for all the kicks, and
+    the iterator holds no joint state once it is handed out."""
     psi.require_normalized()
     pointer.require_normalized()
     return map(partial(JointState, psi, pointer), shifts(pointer, kicks))

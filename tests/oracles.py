@@ -61,3 +61,12 @@ def child_env() -> dict:
     mzkick as this process, installed or not."""
     src = str(Path(mzkick.__file__).parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# numpy's x86 SIMD tiers, each as the NPY_DISABLE_CPU_FEATURES value of a child
+# that runs on it: the host's own, X86_V3, and the baseline below X86_V3.
+SIMD_TIERS = {
+    "host": "",
+    "x86-v3": "AVX512_SPR AVX512_ICL X86_V4",
+    "baseline": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}

@@ -7,10 +7,14 @@ through `python -m mzkick`, whose process policies must move no byte. The
 digests were captured with numpy 2.4.6 on its X86_V4 tier with AVX512_ICL and
 AVX512_SPR. FFT and RNG output may differ in the last bits under another
 numpy, and numpy picks its SIMD loops by CPU at import, so the grid digests
-also move on a host of another tier; a mismatch names both.
+also move on a host of another tier; a mismatch names both. The cases without
+a grid hold on every tier, and are also checked on two older x86 tiers emulated
+in a child.
 """
 
 import hashlib
+import json
+import platform
 import subprocess
 import sys
 
@@ -19,7 +23,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
 from mzkick.cli import EXIT_OK, main
-from oracles import child_env
+from oracles import SIMD_TIERS, child_env
 
 # numpy's x86 SIMD features that set the digests' tier, highest first; the
 # digests were captured with all of them on.
@@ -229,3 +233,48 @@ def test_summary_does_not_depend_on_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True)
         summaries.append((out / "ensemble_summary.json").read_bytes())
     assert summaries[0] == summaries[1]
+
+
+# The golden cases that use no grid, so no FFT, whose digests hold on every SIMD
+# tier: every ensemble and compare-classical config case and the many-groups
+# cases, which between them write every ensemble table in CSV and JSON.
+GRIDLESS_COMMANDS = ("compare-classical", "ensemble")
+GRIDLESS = {
+    **{f"{config}-{command}": (COMMANDS[command] + CONFIGS[config], DIGESTS[config, command])
+       for config in CONFIGS for command in GRIDLESS_COMMANDS},
+    **{f"many-groups-{fmt}": ([*MANY_GROUPS, "--format", fmt], digests)
+       for fmt, digests in MANY_GROUPS_DIGESTS.items()},
+}
+
+# Run in a child under an emulated tier: cli.main on each [out, argv] pair of its
+# JSON argument, each captured stdout written to out + ".stdout".
+TIER_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+from mzkick.cli import main
+
+for out, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main([*argv, "--out", out]) == 0, argv
+    Path(out + ".stdout").write_bytes(stdout.getvalue().encode())
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86 SIMD tiers")
+@pytest.mark.parametrize("tier", ["x86-v3", "baseline"])
+def test_gridless_cases_match_golden_digests_on_older_simd_tiers(tmp_path, tier):
+    # numpy picks its SIMD loops at import, so a tier needs a child of its own.
+    env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": SIMD_TIERS[tier]}
+    cases = [(str(tmp_path / name), argv) for name, (argv, _) in GRIDLESS.items()]
+    proc = subprocess.run([sys.executable, "-c", TIER_CHILD, json.dumps(cases)], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    for name, (_, want) in GRIDLESS.items():
+        got = output_digests((tmp_path / f"{name}.stdout").read_bytes(), tmp_path / name)
+        assert got == want, f"{name} changed on {tier} ({provenance()})"
+    for command in GRIDLESS_COMMANDS:
+        out = tmp_path / f"python-m-{command}"
+        proc = subprocess.run([sys.executable, "-m", "mzkick", *COMMANDS[command], "--out", str(out)],
+                              env=env, check=True, capture_output=True)
+        assert output_digests(proc.stdout, out) == DIGESTS["defaults", command], (
+            f"python -m mzkick {command} changed on {tier} ({provenance()})"
+        )

@@ -42,7 +42,7 @@ from mzkick.weak_measurement import (
     postselect,
     weak_value_PB,
 )
-from oracles import child_env, d2_mean_kick, kicked_grid, make_setup, p_d1, p_d2
+from oracles import SIMD_TIERS, child_env, d2_mean_kick, kicked_grid, make_setup, p_d1, p_d2
 
 SPREAD = 10.0
 
@@ -416,11 +416,7 @@ for case in range(200):
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86 SIMD tiers")
-@pytest.mark.parametrize(
-    "disabled",
-    ["", "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
-    ids=["host", "x86-v3", "baseline"],
-)
+@pytest.mark.parametrize("disabled", list(SIMD_TIERS.values()), ids=list(SIMD_TIERS))
 def test_postselect_keeps_the_divide_bits_on_every_simd_tier(disabled):
     env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": disabled}
     proc = subprocess.run([sys.executable, "-c", TIER_CHILD], env=env, capture_output=True, text=True)
