@@ -212,7 +212,8 @@ def _exact_channels(cfg: ScenarioConfig, kicks: list[float], kick_field: str):
     whose square is not a normal float is refused, before the grid is built,
     under grid_halfwidth if it was given, else under kick_field, the input the kicks
     were made from. The weak values come before any grid work, so a forbidden channel
-    raises first; the returned iterator couples and post-selects as it is read.
+    raises first, and every kick is checked before any transform; the returned
+    iterator couples and post-selects as it is read.
     """
     psi = intra_state(cfg.setup.bs)
     phis = [detector_state(cfg.setup.bs, channel) for channel in CHANNELS]

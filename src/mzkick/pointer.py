@@ -331,12 +331,19 @@ def shifts(state: PointerState, kicks: Sequence[float]) -> Iterator[PointerState
     """shift(state, kick) for each kick in order, each made as it is read, from
     one forward transform of the state (filter_spectrum).
 
-    Each kick's span and wrap checks run when it is read, so the kicks before
-    a refused one are made first and the first refused kick raises. The
-    iterator holds no kick's state once it is handed out.
+    Every nonzero kick's span and wrap checks run first, in kick order, so a
+    refused kick list raises the first refused kick's message here, before any
+    transform. The iterator holds no kick's state once it is handed out.
     """
     grid = state.grid
     span = grid.p_max - grid.p_min
+    for kick in kicks:
+        if kick != 0.0:
+            if not abs(kick) < span:  # also refuses nan
+                raise GridCoverageError(f"shift {kick} exceeds the grid span {span}")
+            wrap = state.amplitudes[_wrap_band(grid, kick)]
+            if wrap.size and _peak_density(wrap) >= TAIL_DENSITY_RATIO * state.peak:
+                raise GridCoverageError(f"shift by {kick} would push significant density off-grid")
 
     def phase(delta_kick: float) -> Callable[[np.ndarray], np.ndarray]:
         def response(freqs: np.ndarray) -> np.ndarray:  # exp(-2*pi*i*f*delta), in place
@@ -346,15 +353,7 @@ def shifts(state: PointerState, kicks: Sequence[float]) -> Iterator[PointerState
 
         return response
 
-    spectra = filter_spectrum(state, [None if kick == 0.0 else phase(kick) for kick in kicks])
-    for kick in kicks:
-        if kick != 0.0:
-            if not abs(kick) < span:  # also refuses nan
-                raise GridCoverageError(f"shift {kick} exceeds the grid span {span}")
-            wrap = state.amplitudes[_wrap_band(grid, kick)]
-            if wrap.size and _peak_density(wrap) >= TAIL_DENSITY_RATIO * state.peak:
-                raise GridCoverageError(f"shift by {kick} would push significant density off-grid")
-        yield next(spectra)
+    return filter_spectrum(state, [None if kick == 0.0 else phase(kick) for kick in kicks])
 
 
 def filter_spectrum(

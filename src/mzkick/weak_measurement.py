@@ -95,9 +95,9 @@ def couple_with_kick(psi: ModeAmplitudes, pointer: PointerState, delta_kick: flo
 
 def couple_with_kicks(psi: ModeAmplitudes, pointer: PointerState, kicks: Sequence[float]) -> Iterator[JointState]:
     """The exact coupling a|A>phi(p) + b|B>phi(p - kick) for each kick in order, each
-    made as it is read. psi and the pointer are checked once, here; the arm-B
-    pointers come from pointer.shifts, one forward transform for all the kicks, and
-    the iterator holds no joint state once it is handed out."""
+    made as it is read. psi, the pointer and every kick are checked once, here; the
+    arm-B pointers come from pointer.shifts, one forward transform for all the kicks,
+    and the iterator holds no joint state once it is handed out."""
     psi.require_normalized()
     pointer.require_normalized()
     return map(partial(JointState, psi, pointer), shifts(pointer, kicks))

@@ -7,6 +7,8 @@ math, none of mzkick's arithmetic, so they check the library from outside it.
 
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mzkick
@@ -70,3 +72,12 @@ SIMD_TIERS = {
     "x86-v3": "AVX512_SPR AVX512_ICL X86_V4",
     "baseline": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
 }
+
+
+def run_on_tier(tier: str, args: list[str]) -> subprocess.CompletedProcess:
+    """Run `python <args>` in a child on a SIMD tier named in SIMD_TIERS, with
+    child_env() and that tier's NPY_DISABLE_CPU_FEATURES; numpy picks its SIMD
+    loops at import, so a tier needs a process of its own. Output is captured
+    as bytes and the exit code is not checked."""
+    env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": SIMD_TIERS[tier]}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)

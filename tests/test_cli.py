@@ -429,6 +429,17 @@ class TestDecoherence:
         assert code == EXIT_NUMERICAL
         assert "grid" in capsys.readouterr().err.lower()
 
+    def test_a_refused_kick_exits_before_any_transform(self, tmp_path, capsys, monkeypatch):
+        # The 0.5 kick is fine alone; every kick is checked before the first one is made.
+        transforms = []
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, lambda *args, name=name, **kwargs: transforms.append(name))
+        argv = ["decoherence", "--grid-halfwidth", "100", "--ratios", "0.5", "5", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: shift by 50.0 would push significant density off-grid\n"
+        assert transforms == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGridRules:
     @pytest.mark.parametrize(

@@ -7,9 +7,9 @@ through `python -m mzkick`, whose process policies must move no byte. The
 digests were captured with numpy 2.4.6 on its X86_V4 tier with AVX512_ICL and
 AVX512_SPR. FFT and RNG output may differ in the last bits under another
 numpy, and numpy picks its SIMD loops by CPU at import, so the grid digests
-also move on a host of another tier; a mismatch names both. The cases without
-a grid hold on every tier, and are also checked on two older x86 tiers emulated
-in a child.
+also move on a host of another tier; a mismatch names both. Every case is also
+checked on two older x86 tiers emulated in a child, against TIER_DIGESTS for
+the grid cases whose bytes differ there. Other architectures stay unchecked.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
 from mzkick.cli import EXIT_OK, main
-from oracles import SIMD_TIERS, child_env
+from oracles import child_env, run_on_tier
 
 # numpy's x86 SIMD features that set the digests' tier, highest first; the
 # digests were captured with all of them on.
@@ -199,7 +199,11 @@ def test_outputs_match_golden_digests(tmp_path, capsys, config, command):
         assert got[name] == digest, f"{config}/{command}: {name} changed ({provenance()})"
 
 
-@pytest.mark.parametrize("command", ["compare-classical", "decoherence", "ensemble", "single-photon"])
+# The subcommands also run through `python -m mzkick`, at the defaults.
+PYTHON_M_COMMANDS = ["compare-classical", "decoherence", "ensemble", "single-photon"]
+
+
+@pytest.mark.parametrize("command", PYTHON_M_COMMANDS)
 def test_python_dash_m_matches_golden_digests(tmp_path, command):
     # The command sets process policies that an in-process main does not
     # (see mzkick.__main__); none of them may move a byte.
@@ -235,15 +239,119 @@ def test_summary_does_not_depend_on_blas_threads(tmp_path):
     assert summaries[0] == summaries[1]
 
 
-# The golden cases that use no grid, so no FFT, whose digests hold on every SIMD
-# tier: every ensemble and compare-classical config case and the many-groups
-# cases, which between them write every ensemble table in CSV and JSON.
-GRIDLESS_COMMANDS = ("compare-classical", "ensemble")
-GRIDLESS = {
+# Every golden case run by cli.main, as its argv and its host digests.
+GOLDEN = {
     **{f"{config}-{command}": (COMMANDS[command] + CONFIGS[config], DIGESTS[config, command])
-       for config in CONFIGS for command in GRIDLESS_COMMANDS},
+       for config in CONFIGS for command in COMMANDS},
     **{f"many-groups-{fmt}": ([*MANY_GROUPS, "--format", fmt], digests)
        for fmt, digests in MANY_GROUPS_DIGESTS.items()},
+    **{f"multi-block-{case}": (MULTI_BLOCK[case], digests) for case, digests in MULTI_BLOCK_DIGESTS.items()},
+}
+
+# The digests of the golden cases that differ from the host's on the two older
+# x86 tiers, captured with numpy 2.4.6 under NPY_DISABLE_CPU_FEATURES; every
+# other case, every case without a grid among them, keeps the host digests.
+TIER_DIGESTS = {
+    "x86-v3": {
+        "defaults-decoherence": {
+            "<stdout>": "cf63811a403f2593c324aed67ad94038a82d1b1a65f1ac0fc67a73c1736f0ed4",
+            "decoherence_scan.csv": "24246d29b1c6ef73f5a5fa9649c1b71caa509dd5f95b73bc23b8fd6c3855fc8f",
+        },
+        "defaults-decoherence-ratios": {
+            "<stdout>": "06005cbe720a0d31e2a0a5d4bf75e2a81eac5590c0af7ea6418d045f903ef472",
+            "decoherence_scan.csv": "0a3746ec89651a79f8d1a346aa52ae84910320f1fa450cdc2de89552b01ed733",
+        },
+        "defaults-single-photon": {
+            "<stdout>": "c6660cd2ca9933c3ed07ddff6b6f7b654ea2952c16c7f1f43ff54d7522687ac0",
+            "single_photon.json": "c6660cd2ca9933c3ed07ddff6b6f7b654ea2952c16c7f1f43ff54d7522687ac0",
+        },
+        "json-decoherence": {
+            "<stdout>": "c9f79340f156cb8350d13ecb1925f37dce286c406952a0b9225e7eab0cc9eb20",
+            "decoherence_scan.json": "6b3277bf8c126e85a13a7ac7e5a3e6f91a36df4eccd771545e4d2262bc4574cd",
+        },
+        "json-decoherence-ratios": {
+            "<stdout>": "dad31033317ec96c729f68beb15776856f6d7cbac85ba9c719ce7025b44af0c9",
+            "decoherence_scan.json": "af91c12c34c0c1d2fa678465bba9ea03be3bf47e6ad33dda0eae5b09b5a7953f",
+        },
+        "json-decoherence-signed-zero": {
+            "<stdout>": "cd5f865c694ee90858c62eb2b63a50c6a6df71c591564cb5057f57f986dce2f6",
+            "decoherence_scan.json": "6bbbc538b99d1e14a5acc9cc7c7ea337f590fbfd049d843a8e7a5bf5983d840c",
+        },
+        "json-single-photon": {
+            "<stdout>": "ed55e0403fe844067cfec1983ff13481f214e2c4889f9d20daaf95397e162111",
+            "single_photon.json": "ed55e0403fe844067cfec1983ff13481f214e2c4889f9d20daaf95397e162111",
+        },
+        "multi-block-decoherence": {
+            "<stdout>": "bcd3cca12ce6905300013fcdfc8fe9be89b16ee9fe83a68e686d837ebb066b5a",
+            "decoherence_scan.csv": "cbcaff43d80029821050b25d6f64afa6603b0a15fdfcbbb6468a3a38d719c00c",
+        },
+        "reflective-decoherence": {
+            "<stdout>": "b438f52a4342bf9efbf6f82d1b9d25eb19894cd592eced00a0ee6b3ad57fa03b",
+            "decoherence_scan.csv": "95e488559cbcf9edbf474736e189da630cd15fd131d40822d0b54c13c297aed8",
+        },
+        "reflective-decoherence-ratios": {
+            "<stdout>": "2a8f67c61ad076d48cebe8eb8bc2d97ccc9eb608c3db5bffb050cff2a71e1236",
+            "decoherence_scan.csv": "6580be304a9bbf54aa0611b2aee14739a95e630e9dd5fa2b6a9afbf7a679961f",
+        },
+        "reflective-decoherence-signed-zero": {
+            "<stdout>": "4601f52c9f40379dc998d2d76adad758c0e72c4f52bcb8df5247371c9820c95e",
+            "decoherence_scan.csv": "e9406f35ef9e160c1a9fdf21a11f759a4f364537924362bf696bf36c5bb6a5e6",
+        },
+        "reflective-single-photon": {
+            "<stdout>": "b07cfcc1940882efcdb1332cd0cfec23ac370fb1cdff23c1b3fc2fb3f3bddba6",
+            "single_photon.json": "b07cfcc1940882efcdb1332cd0cfec23ac370fb1cdff23c1b3fc2fb3f3bddba6",
+        },
+    },
+    "baseline": {
+        "defaults-decoherence": {
+            "<stdout>": "445ca4c6f162d2c67b035ad39a760a78b746a5859ede654fc90a8571e2972b57",
+            "decoherence_scan.csv": "0111a42d0f0cbea46f278ed01781e046e7c31d4251e9c8a06560fb85ebd6409c",
+        },
+        "defaults-decoherence-ratios": {
+            "<stdout>": "371fbf8f040b99342dbe93c206b97a34b415005e22a1dbf481056a908e3a129a",
+            "decoherence_scan.csv": "56ac7482c0e977b99401ba49691f418d12b6ba93fdd858bc00c1673d36e7b584",
+        },
+        "defaults-single-photon": {
+            "<stdout>": "7df099986b225129278c7e775286b96f93ddcef5f7f129aeea164eb66bf3c6d1",
+            "single_photon.json": "7df099986b225129278c7e775286b96f93ddcef5f7f129aeea164eb66bf3c6d1",
+        },
+        "json-decoherence": {
+            "<stdout>": "c9ffab5200702643189b3b6c7bee65cae12e6ec2b0da9746a31d11bd0235428e",
+            "decoherence_scan.json": "8497bb9dcd94e54ece5f0a99682be32ecc5cea7e8bad056ef33e4239caadd927",
+        },
+        "json-decoherence-ratios": {
+            "<stdout>": "3369fc36c17872f507fa63c5cf2fefbdab280129e5a2569a1e707912a201cc0a",
+            "decoherence_scan.json": "9a74037c1fa56c8cc61468341e279a5a6a3d5926311f9d5e97aaebdb1ae96925",
+        },
+        "json-decoherence-signed-zero": {
+            "<stdout>": "cd5f865c694ee90858c62eb2b63a50c6a6df71c591564cb5057f57f986dce2f6",
+            "decoherence_scan.json": "6bbbc538b99d1e14a5acc9cc7c7ea337f590fbfd049d843a8e7a5bf5983d840c",
+        },
+        "json-single-photon": {
+            "<stdout>": "8fc10370b29d36c3e57af69c301edc6016601ecad22904232bb406352e513213",
+            "single_photon.json": "8fc10370b29d36c3e57af69c301edc6016601ecad22904232bb406352e513213",
+        },
+        "multi-block-decoherence": {
+            "<stdout>": "801a2decfe853b8511adf3fd315e16c3812a9d1fa7ddfea443f641fd9cc6c655",
+            "decoherence_scan.csv": "cc1c75d66032938f8dd374a68451d7eb4553f72f7a40e28322e932bf7bd44339",
+        },
+        "reflective-decoherence": {
+            "<stdout>": "1e0d65740c80bcbc8e18c8cba02b6ad7f60a9ebf0c2629d869614c33ee3e2e50",
+            "decoherence_scan.csv": "fa3479a093476d0042a0a6e31dd2718a75c3c746f6afdf5e9ef48747331bb034",
+        },
+        "reflective-decoherence-ratios": {
+            "<stdout>": "ca6268a89bcc979f6c30565e631a23ccd7dc74802f0c96f86c18175f7c33b458",
+            "decoherence_scan.csv": "b25288e1a57d6eb6fe45d7d8b879570b61ce066ae9fd016e2981ea897c6c0d9f",
+        },
+        "reflective-decoherence-signed-zero": {
+            "<stdout>": "4601f52c9f40379dc998d2d76adad758c0e72c4f52bcb8df5247371c9820c95e",
+            "decoherence_scan.csv": "e9406f35ef9e160c1a9fdf21a11f759a4f364537924362bf696bf36c5bb6a5e6",
+        },
+        "reflective-single-photon": {
+            "<stdout>": "b07cfcc1940882efcdb1332cd0cfec23ac370fb1cdff23c1b3fc2fb3f3bddba6",
+            "single_photon.json": "b07cfcc1940882efcdb1332cd0cfec23ac370fb1cdff23c1b3fc2fb3f3bddba6",
+        },
+    },
 }
 
 # Run in a child under an emulated tier: cli.main on each [out, argv] pair of its
@@ -262,19 +370,20 @@ for out, argv in json.loads(sys.argv[1]):
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="numpy's x86 SIMD tiers")
 @pytest.mark.parametrize("tier", ["x86-v3", "baseline"])
-def test_gridless_cases_match_golden_digests_on_older_simd_tiers(tmp_path, tier):
-    # numpy picks its SIMD loops at import, so a tier needs a child of its own.
-    env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": SIMD_TIERS[tier]}
-    cases = [(str(tmp_path / name), argv) for name, (argv, _) in GRIDLESS.items()]
-    proc = subprocess.run([sys.executable, "-c", TIER_CHILD, json.dumps(cases)], env=env, capture_output=True)
+def test_golden_cases_match_their_tier_digests_on_older_simd_tiers(tmp_path, tier):
+    def want(name: str) -> dict:
+        return TIER_DIGESTS[tier].get(name, GOLDEN[name][1])
+
+    proc = run_on_tier(tier, ["-c", TIER_CHILD, json.dumps([(str(tmp_path / name), argv)
+                                                            for name, (argv, _) in GOLDEN.items()])])
     assert proc.returncode == 0, proc.stderr.decode()
-    for name, (_, want) in GRIDLESS.items():
+    for name in GOLDEN:
         got = output_digests((tmp_path / f"{name}.stdout").read_bytes(), tmp_path / name)
-        assert got == want, f"{name} changed on {tier} ({provenance()})"
-    for command in GRIDLESS_COMMANDS:
+        assert got == want(name), f"{name} changed on {tier} ({provenance()})"
+    for command in PYTHON_M_COMMANDS:
         out = tmp_path / f"python-m-{command}"
-        proc = subprocess.run([sys.executable, "-m", "mzkick", *COMMANDS[command], "--out", str(out)],
-                              env=env, check=True, capture_output=True)
-        assert output_digests(proc.stdout, out) == DIGESTS["defaults", command], (
+        proc = run_on_tier(tier, ["-m", "mzkick", *COMMANDS[command], "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert output_digests(proc.stdout, out) == want(f"defaults-{command}"), (
             f"python -m mzkick {command} changed on {tier} ({provenance()})"
         )
